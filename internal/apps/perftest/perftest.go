@@ -209,7 +209,7 @@ func StartSendBW(eng *simtime.Engine, client, server *cluster.Endpoint, size, it
 // When the client's provider exposes the callback-style verbs capabilities
 // (AsyncCQ + AsyncQP — direct-mapped rings, no relay process), the loop runs
 // as a timer-driven state machine on the engine's callback fast path: no
-// goroutine, no channel handoff per message. The state machine replays the
+// proc, no coroutine switch per message. The state machine replays the
 // process loop's schedule calls one for one (post charge ↔ PostSend's
 // leading Sleep, OnComplete ↔ the parked Wait, the poll charge ↔ Wait's
 // trailing Sleep), so both styles produce bit-identical virtual time.

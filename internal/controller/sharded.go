@@ -47,14 +47,13 @@ type Shard struct {
 	// capture it at send and fail with ErrFenced when it moved by reply.
 	gen uint64
 
-	// Analytic service queue: the shard's serialization slot is busy until
-	// busyUntil; arrivals wait for it (see enter) and batch/dump
-	// serialization occupies it (see occupy). Uncontended traffic never
-	// waits, which keeps a one-shard Sharded byte-identical to a bare
-	// Controller.
-	busyUntil simtime.Time
-	waiting   int
-	queueHWM  int
+	// Analytic service queue: every RPC waits at the slot's gate, and
+	// batch/dump serialization holds it (see occupy). Uncontended callers
+	// pass straight through with no event, which keeps a one-shard
+	// Sharded byte-identical to a bare Controller; contended callers park
+	// until the deadline, which a batch that slipped in ahead may have
+	// extended. The gate's peak is the shard's queue HWM.
+	slot *simtime.Gate
 
 	genFenced  uint64 // write RPCs rejected by the gen fence
 	failovers  uint64 // standby promotions
@@ -93,7 +92,7 @@ func NewSharded(engines []*simtime.Engine, p Params, n int) *Sharded {
 		eng := engines[i%len(engines)]
 		sp := p
 		sp.Seed = p.Seed + int64(i)
-		sh := &Shard{pri: New(eng, sp), eng: eng}
+		sh := &Shard{pri: New(eng, sp), eng: eng, slot: simtime.NewGate(eng)}
 		sh.pri.occupy = sh.occupy
 		if p.Replicate {
 			sh.rep = newReplica(eng, p.ReplDelay)
@@ -144,7 +143,7 @@ func (s *Sharded) ShardStats(i int) ShardStats {
 	st := ShardStats{
 		Epoch:      sh.pri.epoch,
 		Down:       sh.pri.down,
-		QueueHWM:   sh.queueHWM,
+		QueueHWM:   sh.slot.Peak(),
 		Failovers:  sh.failovers,
 		Partitions: sh.partitions,
 	}
@@ -196,32 +195,13 @@ func (s *Sharded) MaxEpoch() uint64 {
 
 // ─── Shard service queue ─────────────────────────────────────────────────
 
-// enter waits for the shard's serialization slot to free. Uncontended
-// callers pass straight through (no events); contended callers sleep until
-// busyUntil, re-checking because a batch that slipped in ahead may have
-// extended it. The waiter count's high-water mark is the shard's queue HWM.
-func (sh *Shard) enter(p *simtime.Proc) {
-	for {
-		wait := sh.busyUntil.Sub(p.Now())
-		if wait <= 0 {
-			return
-		}
-		sh.waiting++
-		if sh.waiting > sh.queueHWM {
-			sh.queueHWM = sh.waiting
-		}
-		p.Sleep(wait)
-		sh.waiting--
-	}
-}
-
 // occupy is the Controller serialization hook: hold the shard's slot for
 // cost. When the slot is free this is exactly one Sleep(cost) — the bare
 // controller's serialization — so the queue model costs nothing until
 // there is actual contention.
 func (sh *Shard) occupy(p *simtime.Proc, cost simtime.Duration) {
-	sh.enter(p)
-	sh.busyUntil = p.Now().Add(cost)
+	sh.slot.Wait(p)
+	sh.slot.Hold(p.Now().Add(cost))
 	p.Sleep(cost)
 }
 
@@ -253,7 +233,7 @@ func (s *Sharded) Resolve(p *simtime.Proc, k Key) (Mapping, bool, uint64, error)
 
 func (s *Sharded) resolveOn(p *simtime.Proc, shard int, k Key) (Mapping, bool, uint64, error) {
 	sh := s.shards[shard]
-	sh.enter(p)
+	sh.slot.Wait(p)
 	m, ok, err := sh.pri.Lookup(p, k)
 	return m, ok, sh.pri.epoch, err
 }
@@ -265,7 +245,7 @@ func (s *Sharded) Renew(p *simtime.Proc, k Key, m Mapping) (uint64, error) {
 
 func (s *Sharded) renewOn(p *simtime.Proc, shard int, k Key, m Mapping) (uint64, error) {
 	sh := s.shards[shard]
-	sh.enter(p)
+	sh.slot.Wait(p)
 	gen := sh.gen
 	ep, err := sh.pri.Renew(p, k, m)
 	if err == nil && sh.gen != gen {
@@ -283,7 +263,7 @@ func (s *Sharded) BatchLookupShard(p *simtime.Proc, shard int, keys []Key, renew
 
 func (s *Sharded) batchOn(p *simtime.Proc, shard int, keys []Key, renew []RenewReq) ([]BatchResult, uint64, error) {
 	sh := s.shards[shard]
-	sh.enter(p)
+	sh.slot.Wait(p)
 	gen := sh.gen
 	res, ep, err := sh.pri.BatchLookup(p, keys, renew)
 	if err == nil && len(renew) > 0 && sh.gen != gen {
@@ -300,7 +280,7 @@ func (s *Sharded) FetchShardDump(p *simtime.Proc, shard int, vni uint32) (map[Ke
 
 func (s *Sharded) dumpOn(p *simtime.Proc, shard int, vni uint32) (map[Key]Mapping, uint64, error) {
 	sh := s.shards[shard]
-	sh.enter(p)
+	sh.slot.Wait(p)
 	return sh.pri.FetchDump(p, vni)
 }
 
@@ -311,7 +291,7 @@ func (s *Sharded) Suspend(p *simtime.Proc, k Key) error {
 
 func (s *Sharded) suspendOn(p *simtime.Proc, shard int, k Key) error {
 	sh := s.shards[shard]
-	sh.enter(p)
+	sh.slot.Wait(p)
 	return sh.pri.Suspend(p, k)
 }
 
@@ -323,7 +303,7 @@ func (s *Sharded) Move(p *simtime.Proc, k Key, m Mapping, qpnMap map[uint32]uint
 
 func (s *Sharded) moveOn(p *simtime.Proc, shard int, k Key, m Mapping, qpnMap map[uint32]uint32) error {
 	sh := s.shards[shard]
-	sh.enter(p)
+	sh.slot.Wait(p)
 	gen := sh.gen
 	err := sh.pri.Move(p, k, m, qpnMap)
 	if err == nil && sh.gen != gen {

@@ -3,6 +3,8 @@ package controller
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
+	"math/rand"
 	"testing"
 
 	"masq/internal/packet"
@@ -407,5 +409,76 @@ func TestQueueHWMTracksContention(t *testing.T) {
 	eng.Run()
 	if hwm := s.ShardStats(0).QueueHWM; hwm == 0 {
 		t.Fatal("six concurrent batches left queue HWM at 0")
+	}
+}
+
+// TestShardGateMatchesResleepGolden replays a seeded, contended storm on
+// one shard — batches holding the slot for exactly one RTT, resolves,
+// renewals and dumps queueing behind them, arrivals landing on the slot's
+// deadline, Sleep(0) yields — and pins every reply instant, the queue HWM
+// and the final clock to what the original re-sleep service queue
+// produced (recorded before the gate replaced it). The gate may only
+// dispatch fewer events than the re-sleep loop did.
+func TestShardGateMatchesResleepGolden(t *testing.T) {
+	const (
+		goldenDigest = 0x9713ab98688ca156
+		goldenHWM    = 46
+		goldenNow    = simtime.Time(5914 * simtime.Microsecond)
+		resleepEvts  = 2306
+	)
+	eng := simtime.NewEngine()
+	s := NewSharded([]*simtime.Engine{eng}, DefaultParams(), 1)
+	const nkeys = 100
+	keys := make([]Key, nkeys)
+	for i := range keys {
+		keys[i] = keyN(7, i)
+		s.Register(keys[i], mapping(packet.NewIP(172, 16, byte(i>>8), byte(i+1))))
+	}
+	rng := rand.New(rand.NewSource(7))
+	h := fnv.New64a()
+	for w := 0; w < 48; w++ {
+		start := simtime.Time(rng.Intn(4)) * simtime.Time(simtime.Us(50))
+		ops := make([]int, 4)
+		for i := range ops {
+			ops[i] = rng.Intn(6)
+		}
+		batch := []int{1, 2, 51, 101}[rng.Intn(4)] // serialization 0, 1, 50, 100 µs
+		k := keys[rng.Intn(nkeys)]
+		name := fmt.Sprint("w", w)
+		eng.At(start, func() {
+			eng.Spawn(name, func(p *simtime.Proc) {
+				for i, op := range ops {
+					var err error
+					switch op {
+					case 0:
+						_, _, _, err = s.Resolve(p, k)
+					case 1:
+						bk := make([]Key, batch)
+						for j := range bk {
+							bk[j] = keys[(w+j)%nkeys]
+						}
+						_, _, err = s.BatchLookupShard(p, 0, bk, nil)
+					case 2:
+						_, _, err = s.FetchShardDump(p, 0, 7)
+					case 3:
+						_, err = s.Renew(p, k, mapping(packet.NewIP(172, 16, 0, 1)))
+					case 4:
+						p.Sleep(0)
+					default:
+						p.Sleep(simtime.Us(50))
+					}
+					fmt.Fprintf(h, "%s.%d op%d t=%d err=%v\n", name, i, op, p.Now(), err)
+				}
+			})
+		})
+	}
+	end := eng.Run()
+	digest, hwm := h.Sum64(), s.ShardStats(0).QueueHWM
+	if digest != goldenDigest || hwm != goldenHWM || end != goldenNow {
+		t.Fatalf("digest %#x hwm %d now %v, want %#x hwm %d now %v",
+			digest, hwm, end, uint64(goldenDigest), goldenHWM, goldenNow)
+	}
+	if eng.Events() >= resleepEvts {
+		t.Fatalf("gate dispatched %d events, re-sleep loop %d", eng.Events(), resleepEvts)
 	}
 }

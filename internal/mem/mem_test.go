@@ -213,16 +213,19 @@ func TestMapRejectsUnaligned(t *testing.T) {
 func TestReadWriteQuickRoundtrip(t *testing.T) {
 	phys := NewPhys(gb)
 	host := NewAddrSpace("hva", phys, phys.AllocPages)
-	va, err := host.Alloc(64 * 1024)
+	const size = 64 * 1024
+	va, err := host.Alloc(size)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f := func(off uint16, data []byte) bool {
+		// Every offset in the mapping is fair game; the write is clipped
+		// so it ends at or before the mapping's last byte.
+		if room := size - int(off); len(data) > room {
+			data = data[:room]
+		}
 		if len(data) == 0 {
 			return true
-		}
-		if len(data) > 32*1024 {
-			data = data[:32*1024]
 		}
 		addr := va + uint64(off)
 		if err := host.Write(addr, data); err != nil {
@@ -236,6 +239,30 @@ func TestReadWriteQuickRoundtrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestReadWriteCrossingMappingEnd pins the boundary the roundtrip property
+// stays inside: an access that starts in the mapping but runs past its end
+// is refused with ErrBadAddress, never silently truncated.
+func TestReadWriteCrossingMappingEnd(t *testing.T) {
+	phys := NewPhys(gb)
+	host := NewAddrSpace("hva", phys, phys.AllocPages)
+	const size = 64 * 1024
+	va, err := host.Alloc(size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 28)
+	addr := va + 0xfffd // 3 bytes in range, 25 past the end
+	if err := host.Write(addr, buf); !errors.Is(err, ErrBadAddress) {
+		t.Fatalf("write across mapping end: err = %v, want ErrBadAddress", err)
+	}
+	if err := host.Read(addr, buf); !errors.Is(err, ErrBadAddress) {
+		t.Fatalf("read across mapping end: err = %v, want ErrBadAddress", err)
+	}
+	if err := host.Write(va+size-3, buf[:3]); err != nil {
+		t.Fatalf("write ending at mapping end: %v", err)
 	}
 }
 

@@ -241,7 +241,7 @@ func NewDevice(eng *simtime.Engine, name string, p Params, hostMem mem.Memory) *
 }
 
 // AttachPort wires the device's wire side and starts the TX/RX pipelines.
-// Both pipelines run as engine callbacks — no goroutine per device.
+// Both pipelines run as engine callbacks — no proc per device.
 func (d *Device) AttachPort(port *simnet.Port) {
 	d.port = port
 	d.txServe = d.txService

@@ -264,7 +264,7 @@ func ConnectVia(se *simtime.ShardedEngine, a, b *Port, bandwidth float64, prop s
 
 // pump starts one direction of the link as a callback-driven pipeline: a
 // frame serializes for txTime at link rate, then propagates for PropDelay.
-// The serialization stage runs inline in the engine loop (no goroutine per
+// The serialization stage runs inline in the engine loop (no proc per
 // direction), and its state machine — one frame in serialization at a time,
 // the rest queued — matches the FIFO the process version modeled.
 func (l *Link) pump(eng *simtime.Engine, from, to *Port) *linkDir {

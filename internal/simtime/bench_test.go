@@ -3,8 +3,8 @@ package simtime
 import "testing"
 
 // BenchmarkSleepWake measures one Sleep/wake round trip of a single proc:
-// the engine schedules the proc's intrusive wake event, hands the baton to
-// the goroutine, and takes it back. Steady state must be 0 allocs/op — the
+// the engine schedules the proc's intrusive wake event, switches to the
+// proc's coroutine, and the proc switches back. Steady state must be 0 allocs/op — the
 // wake event is pre-allocated in the Proc and the heap slot is recycled.
 func BenchmarkSleepWake(b *testing.B) {
 	eng := NewEngine()
@@ -20,7 +20,7 @@ func BenchmarkSleepWake(b *testing.B) {
 }
 
 // BenchmarkTimer measures a self-rescheduling Timer callback: the pure
-// engine-loop path with no goroutine handoff at all. 0 allocs/op.
+// engine-loop path with no proc switch at all. 0 allocs/op.
 func BenchmarkTimer(b *testing.B) {
 	eng := NewEngine()
 	n := b.N
@@ -143,4 +143,38 @@ func BenchmarkEventHeap(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	eng.Run()
+}
+
+// BenchmarkGateContended measures a standing herd on a controller-shard
+// style slot: 64 waiters park, then a holder extends the deadline b.N
+// times, each extension landing before the waiters' turn, so every op
+// sends the whole herd round once more. "gate" is Gate, where a round is
+// one event and a re-park is a slice append; "resleep" is the reference
+// loop it replaced, where every waiter wakes and sleeps again.
+func BenchmarkGateContended(b *testing.B) {
+	const waiters = 64
+	for _, bc := range []struct {
+		name string
+		mk   func(*Engine) slot
+	}{{"gate", newGateSlot}, {"resleep", newResleepSlot}} {
+		b.Run(bc.name, func(b *testing.B) {
+			eng := NewEngine()
+			s := bc.mk(eng)
+			n := b.N
+			eng.Spawn("holder", func(p *Proc) {
+				for i := 0; i < n; i++ {
+					s.Wait(p)
+					s.Hold(p.Now().Add(1))
+					p.Sleep(1)
+				}
+			})
+			for i := 0; i < waiters; i++ {
+				eng.Spawn("waiter", func(p *Proc) { s.Wait(p) })
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			eng.Run()
+			b.ReportMetric(float64(eng.Events())/float64(n), "events/op")
+		})
+	}
 }

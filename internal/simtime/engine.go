@@ -1,9 +1,9 @@
 // Package simtime implements a deterministic discrete-event simulation
 // engine in the style of SimPy: simulated components run as cooperative
-// processes (goroutines managed by the engine), exactly one of which
-// executes at a time. Blocking primitives — Sleep, Wait, Queue.Get,
-// Resource.Acquire — hand control back to the engine, which advances the
-// virtual clock to the next scheduled wakeup.
+// processes (coroutines the engine resumes directly, see Proc), exactly
+// one of which executes at a time. Blocking primitives — Sleep, Wait,
+// Queue.Get, Resource.Acquire, Gate.Wait — hand control back to the
+// engine, which advances the virtual clock to the next scheduled wakeup.
 //
 // Virtual time is an int64 nanosecond count starting at zero. There is no
 // wall clock anywhere in the engine, so a simulation run is a pure function
@@ -176,18 +176,14 @@ type Engine struct {
 	free    []*event // recycled pooled events
 	nevents uint64   // events dispatched (perf accounting)
 	procs   map[*Proc]struct{}
-	current *Proc
-	turn    chan struct{}
+	nprocs  uint64 // procs spawned so far; Close unwinds them in spawn order
 	stopped bool
 	shard   int // index within a ShardedEngine; 0 for a standalone engine
 }
 
 // NewEngine returns an engine with the clock at zero and no processes.
 func NewEngine() *Engine {
-	return &Engine{
-		procs: make(map[*Proc]struct{}),
-		turn:  make(chan struct{}, 1),
-	}
+	return &Engine{procs: make(map[*Proc]struct{})}
 }
 
 // Now returns the current virtual time.
@@ -265,90 +261,6 @@ func (e *Engine) At(at Time, fn func()) { e.schedule(at, fn) }
 
 // After schedules fn to run inline d after the current time.
 func (e *Engine) After(d Duration, fn func()) { e.schedule(e.now.Add(d), fn) }
-
-// Proc is a managed simulation process. All blocking calls take the Proc so
-// that the engine knows which goroutine is yielding.
-type Proc struct {
-	eng    *Engine
-	name   string
-	resume chan struct{}
-	done   bool
-	// wakeEv is the proc's intrusive wake event. A parked proc has exactly
-	// one pending wakeup, so a single pre-allocated event (with a reusable
-	// resume closure) makes Sleep and every queue/event/resource wakeup
-	// allocation-free in steady state.
-	wakeEv event
-}
-
-// Name returns the name the process was spawned with.
-func (p *Proc) Name() string { return p.name }
-
-// Engine returns the engine that owns this process.
-func (p *Proc) Engine() *Engine { return p.eng }
-
-// Now returns the current virtual time.
-func (p *Proc) Now() Time { return p.eng.now }
-
-// Spawn creates a process running fn, started at the current virtual time
-// (after already-scheduled events for this instant).
-func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{eng: e, name: name, resume: make(chan struct{})}
-	p.wakeEv.fn = func() { e.runProc(p) }
-	e.procs[p] = struct{}{}
-	e.schedule(e.now, func() {
-		go func() {
-			<-p.resume // wait for the engine to hand us the baton
-			fn(p)
-			p.done = true
-			delete(e.procs, p)
-			e.yieldToEngine(p)
-		}()
-		e.runProc(p)
-	})
-	return p
-}
-
-// runProc transfers control to p and blocks the engine loop until p yields.
-func (e *Engine) runProc(p *Proc) {
-	e.current = p
-	p.resume <- struct{}{}
-	<-e.turn
-	e.current = nil
-}
-
-// yieldToEngine returns control from process p to the engine loop.
-func (e *Engine) yieldToEngine(p *Proc) {
-	e.turn <- struct{}{}
-}
-
-// block parks the calling process until something calls wake on it.
-// It must only be called from within p's goroutine while p is current.
-func (p *Proc) block() {
-	p.eng.yieldToEngine(p)
-	<-p.resume
-}
-
-// wake schedules p to resume at time at, reusing the proc's intrusive wake
-// event — no allocation.
-func (e *Engine) wake(p *Proc, at Time) {
-	e.scheduleEvent(&p.wakeEv, at)
-}
-
-// Sleep suspends the process for d of virtual time.
-func (p *Proc) Sleep(d Duration) {
-	if d <= 0 {
-		// Still yield so that equal-time events interleave fairly.
-		p.eng.wake(p, p.eng.now)
-		p.block()
-		return
-	}
-	p.eng.wake(p, p.eng.now.Add(d))
-	p.block()
-}
-
-// Yield cedes the processor to other events scheduled at the current
-// instant and then continues.
-func (p *Proc) Yield() { p.Sleep(0) }
 
 // Run executes scheduled events in time order until the queue drains or
 // Stop is called. It returns the final virtual time.

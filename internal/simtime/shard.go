@@ -3,6 +3,7 @@ package simtime
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // ShardedEngine runs N Engines ("shards") under conservative-lookahead
@@ -45,8 +46,9 @@ type ShardedEngine struct {
 
 	// Worker plumbing: shard 0 runs on the coordinator goroutine; shards
 	// 1..N-1 each get a persistent worker for the duration of a run.
-	start []chan Time
-	done  chan int
+	start   []chan Time
+	done    chan int
+	workers sync.WaitGroup
 }
 
 // xmsg is one staged cross-shard message. The (at, ex, seq) triple is a
@@ -122,6 +124,15 @@ func (se *ShardedEngine) PendingProcs() []string {
 	}
 	sort.Strings(names)
 	return names
+}
+
+// Close closes every shard engine (see Engine.Close) and drops the staged
+// cross-shard messages. Call it between runs, never from inside one.
+func (se *ShardedEngine) Close() {
+	for _, e := range se.shards {
+		e.Close()
+	}
+	se.pending = nil
 }
 
 // Stop makes the current run return at the next window barrier. It only
@@ -346,7 +357,9 @@ func (se *ShardedEngine) startWorkers() {
 	for i := 1; i < len(se.shards); i++ {
 		ch := make(chan Time)
 		se.start[i] = ch
+		se.workers.Add(1)
 		go func(i int, ch chan Time) {
+			defer se.workers.Done()
 			for h := range ch {
 				se.shards[i].runWindow(h)
 				se.done <- i
@@ -356,8 +369,8 @@ func (se *ShardedEngine) startWorkers() {
 }
 
 // stopWorkers retires the run's workers. Blocked simulation processes
-// keep their goroutines (as on a standalone Engine), but no window worker
-// outlives the run.
+// stay parked until the next run (or Close), but no window worker outlives
+// the run.
 func (se *ShardedEngine) stopWorkers() {
 	if se.start == nil {
 		return
@@ -365,5 +378,6 @@ func (se *ShardedEngine) stopWorkers() {
 	for i := 1; i < len(se.start); i++ {
 		close(se.start[i])
 	}
+	se.workers.Wait()
 	se.start = nil
 }

@@ -140,10 +140,10 @@ func (ev *Event[T]) removeWaiter(w *waiter[T]) {
 //
 // A queue has two consumption styles. Process style: a Proc calls Get and
 // parks until an item arrives. Callback style: OnNext arms a function that
-// the engine invokes inline with the next item — no goroutine, no channel
-// handoff, no scheduler round trip. Purely reactive components (packet
-// pipelines, demultiplexers) should use the callback style; a queue must
-// not mix blocked Getters and an armed callback.
+// the engine invokes inline with the next item — no proc, no coroutine
+// switch. Purely reactive components (packet pipelines, demultiplexers)
+// should use the callback style; a queue must not mix blocked Getters and
+// an armed callback.
 type Queue[T any] struct {
 	eng *Engine
 
