@@ -66,7 +66,7 @@ func main() {
 	case *shards > 0:
 		// The fingerprint intentionally excludes the shard count and wall
 		// time, so `masqbench -shards 1` and `masqbench -shards 4` emit
-		// byte-identical output iff the parallel engine replays the
+		// byte-identical output iff the sharded engine replays the
 		// single-shard oracle exactly. CI diffs the two.
 		fmt.Println(bench.ShardDeterminismRun(*shards))
 	case *simbench != "":

@@ -100,9 +100,13 @@ func StartSendLat(eng *simtime.Engine, client, server *cluster.Endpoint, size, i
 
 // StartWriteLat runs ib_write_lat: an RDMA WRITE ping-pong where each side
 // detects the other's write by polling the last byte of the target buffer,
-// as the real tool does.
-func StartWriteLat(eng *simtime.Engine, client, server *cluster.Endpoint, size, iters int) *simtime.Event[LatencyResult] {
-	done := simtime.NewEvent[LatencyResult](eng)
+// as the real tool does. Each side runs on its own host's engine, so the
+// ping-pong also runs on an engine-sharded testbed; the result event lives
+// on the client's. The engine argument is unused and kept so the signature
+// matches the other Start functions.
+func StartWriteLat(_ *simtime.Engine, client, server *cluster.Endpoint, size, iters int) *simtime.Event[LatencyResult] {
+	cEng, sEng := client.Node.Host.Eng, server.Node.Host.Eng
+	done := simtime.NewEvent[LatencyResult](cEng)
 	const pollInterval = 25 * simtime.Nanosecond
 
 	// Each iteration writes a distinct flag value so duplicates are
@@ -134,7 +138,7 @@ func StartWriteLat(eng *simtime.Engine, client, server *cluster.Endpoint, size, 
 		ep.SCQ.Wait(p)
 	}
 
-	eng.Spawn("write_lat.server", func(p *simtime.Proc) {
+	sEng.Spawn("write_lat.server", func(p *simtime.Proc) {
 		cpeer := client.Info()
 		for i := 0; i < iters; i++ {
 			val := byte(i%200 + 1)
@@ -142,7 +146,7 @@ func StartWriteLat(eng *simtime.Engine, client, server *cluster.Endpoint, size, 
 			writePeer(p, server, cpeer, val)
 		}
 	})
-	eng.Spawn("write_lat.client", func(p *simtime.Proc) {
+	cEng.Spawn("write_lat.client", func(p *simtime.Proc) {
 		speer := server.Info()
 		samples := make([]simtime.Duration, 0, iters)
 		for i := 0; i < iters; i++ {

@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"masq/internal/cluster"
+	"masq/internal/packet"
 	"masq/internal/simtime"
+	"masq/internal/verbs"
 )
 
 func pair(t *testing.T, mode cluster.Mode) *cluster.ConnectedPair {
@@ -66,6 +68,77 @@ func TestWriteLatBelowSendLat(t *testing.T) {
 	}
 	if write < simtime.Us(0.5) || write > simtime.Us(0.9) {
 		t.Fatalf("write latency = %v, want ≈0.7µs", write)
+	}
+}
+
+// shardedPair connects an SR-IOV client on host 0 to a server on host 1 of
+// a testbed with the given engine shard count, each side set up by a proc
+// on its own host's engine.
+func shardedPair(t *testing.T, shards int) (tb *cluster.Testbed, client, server *cluster.Endpoint) {
+	t.Helper()
+	cfg := cluster.DefaultConfig()
+	cfg.Shards = shards
+	tb = cluster.New(cfg)
+	const vni = 100
+	tb.AddTenant(vni, "tenant")
+	tb.AllowAll(vni)
+	var nodes [2]*cluster.Node
+	for i := range nodes {
+		n, err := tb.NewNode(cluster.ModeSRIOV, i, vni, packet.NewIP(192, 168, 1, byte(i+1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes[i] = n
+	}
+	var eps [2]*cluster.Endpoint
+	var errs [2]error
+	for i, n := range nodes {
+		tb.HostEngine(i).Spawn("setup", func(p *simtime.Proc) {
+			ep, err := n.Setup(p, cluster.DefaultEndpointOpts())
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			var peer verbs.ConnInfo
+			if i == 0 {
+				peer, err = ep.ExchangeClient(p, nodes[1].VIP, 7000, simtime.Ms(50))
+			} else {
+				peer, err = ep.ExchangeServer(p, 7000)
+			}
+			if err == nil {
+				err = ep.ConnectRC(p, peer)
+			}
+			eps[i], errs[i] = ep, err
+		})
+	}
+	tb.Run()
+	for i, err := range errs {
+		if err != nil || eps[i] == nil {
+			t.Fatalf("side %d setup: %v", i, err)
+		}
+	}
+	return tb, eps[0], eps[1]
+}
+
+// TestWriteLatShardedMatchesOneShard: with each side on its own host's
+// engine, the write ping-pong completes on a two-shard testbed and
+// measures exactly what the one-shard oracle measures.
+func TestWriteLatShardedMatchesOneShard(t *testing.T) {
+	run := func(shards int) LatencyResult {
+		tb, c, s := shardedPair(t, shards)
+		ev := StartWriteLat(tb.Eng, c, s, 2, 100)
+		tb.Run()
+		if !ev.Triggered() {
+			t.Fatalf("%d shards: write_lat did not complete (pending: %v)", shards, tb.Sharded.PendingProcs())
+		}
+		return ev.Value()
+	}
+	oracle, got := run(1), run(2)
+	if oracle.Iters != 100 {
+		t.Fatalf("oracle = %+v, want 100 iterations", oracle)
+	}
+	if got != oracle {
+		t.Fatalf("2 shards: %+v, want the 1-shard result %+v", got, oracle)
 	}
 }
 

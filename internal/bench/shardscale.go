@@ -10,7 +10,7 @@ import (
 )
 
 func init() {
-	register("abl-shard-scale", "ablation: parallel DES speedup vs shard count", ablShardScale)
+	register("abl-shard-scale", "ablation: sharded-engine speedup vs shard count", ablShardScale)
 }
 
 // ShardScalePoint is one cell of the shard-scaling curve: the same seeded
@@ -22,7 +22,7 @@ type ShardScalePoint struct {
 	WallSeconds  float64 `json:"wall_seconds"`
 	EventsPerSec float64 `json:"events_per_sec"`
 	// Speedup is events/sec relative to the 1-shard run of the same
-	// workload. Meaningful only when GOMAXPROCS >= Shards.
+	// workload: the gain from smaller per-shard heaps.
 	Speedup float64 `json:"speedup"`
 	// Digest fingerprints the workload's final state. Every shard count
 	// must produce the same digest — it is the determinism guard's hook.
@@ -138,10 +138,10 @@ func ShardDeterminismRun(shards int) string {
 func ablShardScale() *Table {
 	t := &Table{
 		ID:      "abl-shard-scale",
-		Title:   "Parallel DES: events/sec vs shard count (ring of 64 hosts)",
+		Title:   "Sharded engine: events/sec vs shard count (ring of 64 hosts)",
 		Columns: []string{"shards", "events", "wall_s", "events/sec", "speedup", "digest"},
 		Notes: []string{
-			fmt.Sprintf("host: %d CPUs, GOMAXPROCS=%d — parallel speedup needs GOMAXPROCS >= shards; gains beyond that are smaller per-shard heaps",
+			fmt.Sprintf("host: %d CPUs, GOMAXPROCS=%d — windows run sequentially, so the speedup is smaller per-shard heaps",
 				runtime.NumCPU(), runtime.GOMAXPROCS(0)),
 			"equal digests = every shard count simulated the identical history",
 		},

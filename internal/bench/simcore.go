@@ -22,9 +22,9 @@ type SimCoreMetric struct {
 // SimCoreReport is the perf snapshot emitted as BENCH_simcore.json so the
 // engine's wall-clock trajectory is tracked across PRs.
 type SimCoreReport struct {
-	// HostCPUs/GoMaxProcs qualify the shard-scaling numbers: parallel
-	// speedup needs GOMAXPROCS >= shards; with fewer cores any remaining
-	// gain comes from smaller per-shard heaps, not concurrency.
+	// HostCPUs/GoMaxProcs qualify the shard-scaling numbers. The sharded
+	// engine runs its windows sequentially, so its gain comes from smaller
+	// per-shard heaps, not concurrency.
 	HostCPUs   int `json:"host_cpus"`
 	GoMaxProcs int `json:"gomaxprocs"`
 	// Primitives are steady-state micro-measurements of the DES core.
@@ -37,7 +37,7 @@ type SimCoreReport struct {
 		WallSeconds  float64 `json:"wall_seconds"`
 		EventsPerSec float64 `json:"events_per_sec"`
 	} `json:"end_to_end"`
-	// ShardScaling is the parallel-engine curve: the 64-host ring workload
+	// ShardScaling is the sharded-engine curve: the 64-host ring workload
 	// at increasing shard counts. Digests must all match (same history);
 	// events/sec shows how the conservative windows scale on this host.
 	ShardScaling []ShardScalePoint `json:"shard_scaling"`

@@ -71,7 +71,7 @@ type Config struct {
 	PropDelay simtime.Duration
 	SwitchFwd simtime.Duration
 
-	// Shards runs the testbed on a parallel ShardedEngine: host i (its
+	// Shards runs the testbed on a ShardedEngine: host i (its
 	// RNIC, vswitch, VMs, procs) lives on shard i % Shards, while the ToR
 	// switch, fabric, and chaos injector stay on shard 0. The underlay
 	// links become cross-shard exchanges whose minimum latency is
@@ -128,7 +128,7 @@ type Testbed struct {
 	// is sharded, or the single global engine otherwise. The controller,
 	// fabric, ToR switch, and chaos injector live on it.
 	Eng *simtime.Engine
-	// Sharded is the parallel engine driving all shards, non-nil iff
+	// Sharded is the sharded engine driving all shards, non-nil iff
 	// Cfg.Shards > 0. Drive sharded testbeds with tb.Run/tb.RunUntil (or
 	// Sharded.Run), never Eng.Run — shard 0 alone would starve the rest.
 	Sharded *simtime.ShardedEngine

@@ -4,7 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"testing"
-	"testing/quick"
+
+	"masq/internal/quickcheck"
 )
 
 const gb = 1 << 30
@@ -237,9 +238,7 @@ func TestReadWriteQuickRoundtrip(t *testing.T) {
 		}
 		return bytes.Equal(got, data)
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
+	quickcheck.Check(t, f, 0)
 }
 
 // TestReadWriteCrossingMappingEnd pins the boundary the roundtrip property

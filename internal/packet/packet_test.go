@@ -3,7 +3,8 @@ package packet
 import (
 	"bytes"
 	"testing"
-	"testing/quick"
+
+	"masq/internal/quickcheck"
 )
 
 func TestParseIP(t *testing.T) {
@@ -36,9 +37,7 @@ func TestIPStringRoundtrip(t *testing.T) {
 		got, ok := ParseIP(ip.String())
 		return ok && got == ip
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
+	quickcheck.Check(t, f, 0)
 }
 
 func TestCIDRContains(t *testing.T) {
@@ -77,9 +76,7 @@ func TestGIDFromIPRoundtrip(t *testing.T) {
 		got, ok := g.IP()
 		return ok && got == ip
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
+	quickcheck.Check(t, f, 0)
 }
 
 func TestGIDNotIPv4Mapped(t *testing.T) {
@@ -297,9 +294,7 @@ func TestInternetChecksumSelfVerifies(t *testing.T) {
 		h.marshal(buf)
 		return internetChecksum(buf) == 0
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
+	quickcheck.Check(t, f, 0)
 }
 
 func TestBTHRoundtripQuick(t *testing.T) {
@@ -320,9 +315,7 @@ func TestBTHRoundtripQuick(t *testing.T) {
 		}
 		return *in == *out
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
+	quickcheck.Check(t, f, 0)
 }
 
 func TestRETHRoundtripQuick(t *testing.T) {
@@ -336,9 +329,7 @@ func TestRETHRoundtripQuick(t *testing.T) {
 		}
 		return *in == *out
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
+	quickcheck.Check(t, f, 0)
 }
 
 func TestPayloadRoundtripQuick(t *testing.T) {
@@ -353,9 +344,7 @@ func TestPayloadRoundtripQuick(t *testing.T) {
 		}
 		return bytes.Equal(p.Payload, payload)
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
+	quickcheck.Check(t, f, 0)
 }
 
 func TestOpCodePredicates(t *testing.T) {
@@ -435,9 +424,7 @@ func TestDecodeNeverPanics(t *testing.T) {
 		Decode(data) // errors are fine
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
+	quickcheck.Check(t, f, 500)
 	// Mutations of a valid frame exercise deeper decode paths.
 	valid := Serialize(rocePacket([]byte("seed packet for mutation"))...)
 	g := func(pos uint16, val byte) bool {
@@ -446,9 +433,7 @@ func TestDecodeNeverPanics(t *testing.T) {
 		Decode(m)
 		return true
 	}
-	if err := quick.Check(g, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
+	quickcheck.Check(t, g, 500)
 }
 
 // TestSerializeRoundtripAllOpcodes walks every RC opcode through a

@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"masq/internal/packet"
+	"masq/internal/quickcheck"
 	"masq/internal/simnet"
 	"masq/internal/simtime"
 )
@@ -235,9 +235,7 @@ func TestTokenBucketQuick(t *testing.T) {
 		limit := burst + rate*float64(now)/1e9 + 1
 		return admitted <= limit
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
+	quickcheck.Check(t, f, 200)
 }
 
 // TestLRUCacheQuick: after any operation sequence the cache holds at most
@@ -256,9 +254,7 @@ func TestLRUCacheQuick(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
+	quickcheck.Check(t, f, 0)
 }
 
 func TestLRUEvictsLeastRecentlyUsed(t *testing.T) {

@@ -271,6 +271,7 @@ func (l *Link) pump(eng *simtime.Engine, from, to *Port) *linkDir {
 	d := &linkDir{l: l, eng: eng, to: to, q: simtime.NewQueue[Frame](eng)}
 	from.tx = d.q.Put
 	d.serve = d.start
+	d.arrival = d.arrive
 	d.done = eng.NewTimer(d.txDone)
 	d.q.OnNext(d.serve)
 	return d
@@ -286,6 +287,7 @@ type linkDir struct {
 	to      *Port
 	q       *simtime.Queue[Frame]
 	xchg    *simtime.Exchange // cross-shard delivery lane (nil for Connect links)
+	arrival func()            // cached arrive, the one message xchg carries
 	stats   LinkStats
 	serve   func(Frame)    // cached OnNext callback (avoids method-value allocs)
 	done    *simtime.Timer // fires when the in-flight frame finishes serializing
@@ -293,6 +295,10 @@ type linkDir struct {
 	// propFree pools the in-flight propagation records (several frames can
 	// be on the wire at once; each record owns an intrusive timer).
 	propFree []*propJob
+	// inflight holds the frames sent through xchg and not yet arrived, in
+	// send order; ihead indexes the oldest.
+	inflight []Frame
+	ihead    int
 }
 
 // propJob carries one frame across the link's propagation delay.
@@ -309,8 +315,17 @@ func (d *linkDir) propagate(f Frame) {
 		// PropDelay over all exchanges), so the conservative bound holds by
 		// construction. The receiving shard applies deliveries in (time,
 		// exchange, seq) order at its next window boundary.
-		to := d.to
-		d.xchg.Send(d.eng.Now().Add(d.l.PropDelay), func() { to.deliver(f) })
+		//
+		// Every message carries the same cached arrive, which delivers the
+		// oldest frame in flight, so the exchange allocates nothing per
+		// frame. Arrivals pop frames in send order because the arrival time
+		// now + PropDelay never decreases along one direction and ties on
+		// one exchange break on send order. The FIFO is written by the
+		// sender's shard and read by the receiver's without a lock: the
+		// sharded engine runs windows one at a time, so the two never
+		// overlap.
+		d.pushInflight(f)
+		d.xchg.Send(d.eng.Now().Add(d.l.PropDelay), d.arrival)
 		return
 	}
 	var j *propJob
@@ -324,6 +339,29 @@ func (d *linkDir) propagate(f Frame) {
 	}
 	j.f = f
 	j.t.ScheduleAfter(d.l.PropDelay)
+}
+
+// pushInflight appends f to the in-flight FIFO, first sliding the live
+// frames to the front when the backing array is full, so a link that never
+// drains reuses its array instead of growing it.
+func (d *linkDir) pushInflight(f Frame) {
+	if d.ihead > 0 && len(d.inflight) == cap(d.inflight) {
+		n := copy(d.inflight, d.inflight[d.ihead:])
+		clear(d.inflight[n:])
+		d.inflight, d.ihead = d.inflight[:n], 0
+	}
+	d.inflight = append(d.inflight, f)
+}
+
+// arrive delivers the oldest frame in flight through the exchange.
+func (d *linkDir) arrive() {
+	f := d.inflight[d.ihead]
+	d.inflight[d.ihead] = nil
+	d.ihead++
+	if d.ihead == len(d.inflight) {
+		d.inflight, d.ihead = d.inflight[:0], 0
+	}
+	d.to.deliver(f)
 }
 
 func (j *propJob) fire() {

@@ -1,8 +1,10 @@
 package simtime
 
 import (
+	"fmt"
 	"testing"
-	"testing/quick"
+
+	"masq/internal/quickcheck"
 )
 
 func TestClockStartsAtZero(t *testing.T) {
@@ -246,6 +248,102 @@ func TestQueueBuffersWhenNoWaiter(t *testing.T) {
 	}
 }
 
+// TestQueueCallbackDelivery: a Put that finds the queue empty, a callback
+// armed and no delivery pending calls the callback before returning and
+// dispatches no event; a backlog, or a Put while a delivery is pending,
+// goes through the delivery event; and a callback that puts back into its
+// own queue sees items in the order they were put.
+func TestQueueCallbackDelivery(t *testing.T) {
+	t.Run("inline", func(t *testing.T) {
+		e := NewEngine()
+		q := NewQueue[int](e)
+		var got []int
+		q.OnNext(func(v int) { got = append(got, v) })
+		q.Put(7)
+		if len(got) != 1 || got[0] != 7 {
+			t.Fatalf("after Put: callback got %v, want [7] before Put returns", got)
+		}
+		q.Put(8) // the callback is consumed: 8 waits in the queue
+		e.Run()
+		if e.Events() != 0 || q.Len() != 1 || len(got) != 1 {
+			t.Fatalf("events=%d len=%d got=%v, want 0 events, 8 queued, [7]", e.Events(), q.Len(), got)
+		}
+	})
+	for _, tc := range []struct {
+		name    string
+		backlog []int // put before the callback is armed
+		tryGet  bool  // take one item back after arming, leaving the delivery pending
+		puts    []int // put after arming
+		want    []int
+	}{
+		{"backlog", []int{1, 2}, false, []int{3}, []int{1, 2, 3}},
+		{"pending-after-tryget", []int{1}, true, []int{2, 3}, []int{2, 3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEngine()
+			q := NewQueue[int](e)
+			for _, v := range tc.backlog {
+				q.Put(v)
+			}
+			var got []int
+			var cb func(int)
+			cb = func(v int) {
+				got = append(got, v)
+				q.OnNext(cb)
+			}
+			q.OnNext(cb) // the backlog schedules the delivery event
+			if tc.tryGet {
+				q.TryGet()
+			}
+			for _, v := range tc.puts {
+				q.Put(v)
+			}
+			if len(got) != 0 {
+				t.Fatalf("callback ran inside Put (%v) while a delivery was pending", got)
+			}
+			e.Run()
+			if fmt.Sprint(got) != fmt.Sprint(tc.want) || e.Events() == 0 {
+				t.Fatalf("got %v in %d events, want %v through delivery events", got, e.Events(), tc.want)
+			}
+		})
+	}
+	for _, rearmFirst := range []bool{true, false} {
+		t.Run(fmt.Sprintf("self-put/rearm-first=%v", rearmFirst), func(t *testing.T) {
+			e := NewEngine()
+			q := NewQueue[int](e)
+			var put, got []int
+			putQ := func(v int) {
+				put = append(put, v)
+				q.Put(v)
+			}
+			var cb func(int)
+			cb = func(v int) {
+				got = append(got, v)
+				if rearmFirst {
+					q.OnNext(cb)
+				}
+				if v < 20 {
+					putQ(2*v + 1)
+					putQ(2*v + 2)
+				}
+				if !rearmFirst {
+					if next, ok := q.TryGet(); ok {
+						cb(next)
+						return
+					}
+					q.OnNext(cb)
+				}
+			}
+			q.OnNext(cb)
+			e.At(0, func() { putQ(0) })
+			e.Run()
+			if len(got) != 41 || fmt.Sprint(got) != fmt.Sprint(put) {
+				t.Fatalf("delivered %v\nput       %v", got, put)
+			}
+		})
+	}
+}
+
 func TestQueueGetTimeout(t *testing.T) {
 	e := NewEngine()
 	q := NewQueue[int](e)
@@ -420,9 +518,7 @@ func TestQuickScheduleOrdering(t *testing.T) {
 		_ = last
 		return ok
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
+	quickcheck.Check(t, f, 50)
 }
 
 // TestQueueOrderPreservedUnderMixedOps: random interleavings of puts and
@@ -464,7 +560,5 @@ func TestQueueOrderPreservedUnderMixedOps(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
+	quickcheck.Check(t, f, 100)
 }

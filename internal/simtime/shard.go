@@ -3,7 +3,6 @@ package simtime
 import (
 	"fmt"
 	"sort"
-	"sync"
 )
 
 // ShardedEngine runs N Engines ("shards") under conservative-lookahead
@@ -17,10 +16,19 @@ import (
 // undelivered cross-shard message), sets the horizon h = m + L where L is
 // the lookahead (the minimum latency declared by any Exchange), delivers
 // every staged message with timestamp < h into its destination shard's
-// heap, and lets every shard execute its events with timestamps < h in
-// parallel. A message sent at time t carries a timestamp >= t + L >= h,
-// so it always lands in a strictly future window: no shard ever receives
-// an event in its past, and the barrier at h is the only synchronization.
+// heap, and lets every shard execute its events with timestamps < h. A
+// message sent at time t carries a timestamp >= t + L >= h, so it always
+// lands in a strictly future window: no shard ever receives an event in
+// its past.
+//
+// Windows run sequentially: the calling goroutine executes each shard's
+// window in shard order, and the engine starts no goroutines. Windows are
+// short — the data-path workloads average under twenty events per window
+// at a 100 ns lookahead — and handing a window to a worker goroutine and
+// waiting for it at the barrier cost more CPU and more elapsed time than
+// running it. Sharding still pays through smaller per-shard heaps. A
+// parallel executor is worth bringing back only together with a workload
+// whose windows are long enough to pay for the handoff.
 //
 // Determinism. Within a shard, events run in (time, seq) order exactly as
 // on a standalone Engine. Across shards, staged messages are applied in
@@ -43,12 +51,6 @@ type ShardedEngine struct {
 	lookahead Duration // min latency declared by any exchange
 	haveLook  bool
 	pending   []xmsg // staged messages not yet delivered to a shard heap
-
-	// Worker plumbing: shard 0 runs on the coordinator goroutine; shards
-	// 1..N-1 each get a persistent worker for the duration of a run.
-	start   []chan Time
-	done    chan int
-	workers sync.WaitGroup
 }
 
 // xmsg is one staged cross-shard message. The (at, ex, seq) triple is a
@@ -135,23 +137,21 @@ func (se *ShardedEngine) Close() {
 	se.pending = nil
 }
 
-// Stop makes the current run return at the next window barrier. It only
-// marks shard 0 (the coordinator's shard), which the barrier check sees —
-// writing other shards' flags from here would race with their window
-// workers. Simulation code on shard i stops the whole run by calling its
-// own engine's Stop: the shard quits its window early and the barrier
-// ends the run.
+// Stop makes the current run return at the next window barrier. It marks
+// shard 0, which the barrier check sees. Simulation code on shard i stops
+// the whole run by calling its own engine's Stop: the shard quits its
+// window early and the barrier ends the run.
 func (se *ShardedEngine) Stop() { se.shards[0].stopped = true }
 
 // Stopped reports whether any shard has stopped since the last run began.
 func (se *ShardedEngine) Stopped() bool { return se.anyStopped() }
 
 // Exchange is a directed cross-shard channel with a declared minimum
-// delivery latency. Sends are staged in a single-writer buffer (only the
-// source shard's goroutine appends; only the coordinator drains, at a
-// barrier), making the mailbox lock-free. The exchange ID is assigned in
-// creation order, so as long as the topology is wired in a deterministic
-// order the cross-shard application order is deterministic too.
+// delivery latency. Sends are staged in a buffer that only the source
+// shard appends to and only the coordinator drains, at a barrier. The
+// exchange ID is assigned in creation order, so as long as the topology is
+// wired in a deterministic order the cross-shard application order is
+// deterministic too.
 type Exchange struct {
 	se       *ShardedEngine
 	id       int
@@ -215,9 +215,6 @@ func (se *ShardedEngine) RunUntil(deadline Time) Time {
 	for _, e := range se.shards {
 		e.stopped = false
 	}
-	se.startWorkers()
-	defer se.stopWorkers()
-
 	// Pick up messages staged before the run (topology setup, a previous
 	// run cut short by Stop or deadline).
 	se.collect()
@@ -305,26 +302,17 @@ func (se *ShardedEngine) deliver(horizon Time) {
 }
 
 // window runs one synchronization window: every shard with work below the
-// horizon executes it, shard 0 inline on the coordinator goroutine and
-// the rest on their workers, then the barrier joins them.
+// horizon executes it, in shard order, on the calling goroutine.
 func (se *ShardedEngine) window(horizon Time) {
-	active := 0
-	for i := 1; i < len(se.shards); i++ {
-		e := se.shards[i]
+	for _, e := range se.shards {
 		if len(e.pq) > 0 && e.pq[0].at < horizon {
-			se.start[i] <- horizon
-			active++
+			e.runWindow(horizon)
 		}
-	}
-	se.shards[0].runWindow(horizon)
-	for ; active > 0; active-- {
-		<-se.done
 	}
 }
 
 // collect drains every exchange's staging buffer into the pending list.
-// It runs on the coordinator between windows, after the barrier, so no
-// shard is appending concurrently.
+// It runs between windows, after every shard's window has finished.
 func (se *ShardedEngine) collect() {
 	for _, x := range se.exchanges {
 		if len(x.buf) > 0 {
@@ -341,43 +329,4 @@ func (se *ShardedEngine) anyStopped() bool {
 		}
 	}
 	return false
-}
-
-// startWorkers launches one persistent goroutine per non-coordinator
-// shard for the duration of a run. The channel handoffs give the barrier
-// its happens-before edges: everything a shard wrote during its window is
-// visible to the coordinator after done, and everything the coordinator
-// delivered is visible to the shard after start.
-func (se *ShardedEngine) startWorkers() {
-	if len(se.shards) <= 1 || se.start != nil {
-		return
-	}
-	se.start = make([]chan Time, len(se.shards))
-	se.done = make(chan int, len(se.shards))
-	for i := 1; i < len(se.shards); i++ {
-		ch := make(chan Time)
-		se.start[i] = ch
-		se.workers.Add(1)
-		go func(i int, ch chan Time) {
-			defer se.workers.Done()
-			for h := range ch {
-				se.shards[i].runWindow(h)
-				se.done <- i
-			}
-		}(i, ch)
-	}
-}
-
-// stopWorkers retires the run's workers. Blocked simulation processes
-// stay parked until the next run (or Close), but no window worker outlives
-// the run.
-func (se *ShardedEngine) stopWorkers() {
-	if se.start == nil {
-		return
-	}
-	for i := 1; i < len(se.start); i++ {
-		close(se.start[i])
-	}
-	se.workers.Wait()
-	se.start = nil
 }

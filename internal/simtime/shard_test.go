@@ -2,6 +2,7 @@ package simtime
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -88,26 +89,34 @@ func TestShardedDeterminismAB(t *testing.T) {
 }
 
 // TestShardedMatchesSingleEngineTotals: a sharded run dispatches the same
-// event count and ends at the same virtual time regardless of shard count.
+// event count and ends at the same virtual time regardless of shard count,
+// and runs every shard's window without starting a goroutine.
 func TestShardedMatchesSingleEngineTotals(t *testing.T) {
 	run := func(shards int) (Time, uint64) {
 		se := NewSharded(shards)
 		x01 := se.NewExchange(0, shards/2, 1000)
 		x10 := se.NewExchange(shards/2, 0, 1000)
+		before := runtime.NumGoroutine()
+		peak := 0
 		var ping func()
 		var pong func()
 		n := 0
 		ping = func() {
+			peak = max(peak, runtime.NumGoroutine())
 			if n++; n > 50 {
 				return
 			}
 			x01.Send(se.Shard(0).Now().Add(1000), pong)
 		}
 		pong = func() {
+			peak = max(peak, runtime.NumGoroutine())
 			x10.Send(se.Shard(shards/2).Now().Add(1500), ping)
 		}
 		se.Shard(0).At(0, ping)
 		end := se.Run()
+		if peak > before {
+			t.Errorf("%d shards: %d goroutines during the run, %d before it", shards, peak, before)
+		}
 		return end, se.Events()
 	}
 	t1, n1 := run(1)

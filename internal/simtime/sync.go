@@ -140,10 +140,10 @@ func (ev *Event[T]) removeWaiter(w *waiter[T]) {
 //
 // A queue has two consumption styles. Process style: a Proc calls Get and
 // parks until an item arrives. Callback style: OnNext arms a function that
-// the engine invokes inline with the next item — no proc, no coroutine
-// switch. Purely reactive components (packet pipelines, demultiplexers)
-// should use the callback style; a queue must not mix blocked Getters and
-// an armed callback.
+// receives the next item — no proc, no coroutine switch, and no event when
+// the item finds the queue empty. Purely reactive components (packet
+// pipelines, demultiplexers) should use the callback style; a queue must
+// not mix blocked Getters and an armed callback.
 type Queue[T any] struct {
 	eng *Engine
 
@@ -223,8 +223,11 @@ func (q *Queue[T]) removeWaiter(w *waiter[T]) {
 }
 
 // Put appends v and, if a process is blocked in Get, hands v to the
-// longest-waiting one; if a callback is armed instead, delivery is
-// scheduled at the current instant.
+// longest-waiting one. If a callback is armed instead, Put disarms it and
+// calls it with v before returning, when the queue is empty and no
+// delivery event is pending; otherwise v joins the backlog and the
+// delivery event hands items to the callback in FIFO order at the current
+// instant.
 func (q *Queue[T]) Put(v T) {
 	for {
 		w, ok := q.popWaiter()
@@ -237,6 +240,12 @@ func (q *Queue[T]) Put(v T) {
 		w.fired = true
 		w.val = v
 		q.eng.wake(w.p, q.eng.now)
+		return
+	}
+	if q.cb != nil && !q.svc.inHeap && q.Len() == 0 {
+		cb := q.cb
+		q.cb = nil
+		cb(v)
 		return
 	}
 	q.pushItem(v)
@@ -289,12 +298,12 @@ func (q *Queue[T]) GetTimeout(p *Proc, d Duration) (v T, ok bool) {
 	return v, !timedOut
 }
 
-// OnNext arms fn as a one-shot consumer callback: the engine delivers the
-// next available item to fn inline in the event loop, at the instant the
-// item is available (items already buffered are delivered at the current
-// time, mirroring how a Put wakes a parked Getter). The callback is
-// consumed by the delivery; re-arm from inside fn — typically after
-// draining any backlog with TryGet — to keep receiving. Only one callback
+// OnNext arms fn as a one-shot consumer callback: the next available item
+// goes to fn at the instant it is available — from inside Put when it
+// finds the queue empty, through the delivery event when items are
+// already buffered. The callback is consumed by the delivery; re-arm from
+// inside fn — typically after draining any backlog with TryGet — to keep
+// receiving. Only one callback
 // may be armed at a time, and an armed queue must not also have blocked
 // Getters.
 func (q *Queue[T]) OnNext(fn func(T)) {
