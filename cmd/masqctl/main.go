@@ -43,6 +43,7 @@ func main() {
 		cfg.Hosts = 3 // spare destination host for the live-migration demo
 	}
 	tb := masq.NewTestbed(cfg)
+	ctrl := tb.CtrlSharded.Primary(0) // the main scenario runs one controller shard
 	acme := tb.AddTenant(100, "acme")
 	globex := tb.AddTenant(200, "globex")
 	acmeRule := tb.AllowAll(100)
@@ -129,19 +130,19 @@ func main() {
 	fmt.Println("\n=== SDN controller mapping table (VNI, vGID) -> physical ===")
 	dumpMappings(tb, 100)
 	dumpMappings(tb, 200)
-	fmt.Printf("controller stats: %d queries, %d updates\n", tb.Ctrl.Stats.Queries, tb.Ctrl.Stats.Updates)
+	fmt.Printf("controller stats: %d queries, %d updates\n", ctrl.Stats.Queries, ctrl.Stats.Updates)
 	fmt.Printf("controller faults: %d timeouts (%d dropped replies)\n",
-		tb.Ctrl.Stats.Timeouts, tb.Ctrl.Stats.DroppedReplies)
+		ctrl.Stats.Timeouts, ctrl.Stats.DroppedReplies)
 	fmt.Printf("controller pushes: %d sent, %d delivered, %d dropped\n",
-		tb.Ctrl.Stats.NotifySent, tb.Ctrl.Stats.NotifyDelivered, tb.Ctrl.Stats.NotifyDropped)
+		ctrl.Stats.NotifySent, ctrl.Stats.NotifyDelivered, ctrl.Stats.NotifyDropped)
 	fmt.Printf("controller epoch %d: %d crashes, %d restarts; leases: %d renewed, %d expired; %d updates lost in crashes, %d queued pushes wiped\n",
-		tb.Ctrl.Epoch(), tb.Ctrl.Stats.Crashes, tb.Ctrl.Stats.Restarts,
-		tb.Ctrl.Stats.Renewals, tb.Ctrl.Stats.LeaseExpired,
-		tb.Ctrl.Stats.LostUpdates, tb.Ctrl.Stats.NotifyWiped)
+		tb.CtrlSharded.MaxEpoch(), ctrl.Stats.Crashes, ctrl.Stats.Restarts,
+		ctrl.Stats.Renewals, ctrl.Stats.LeaseExpired,
+		ctrl.Stats.LostUpdates, ctrl.Stats.NotifyWiped)
 	fmt.Printf("controller subscriber queue depth HWMs: %v (overall %d)\n",
-		tb.Ctrl.QueueHWMs(), tb.Ctrl.Stats.NotifyQueueHWM)
+		ctrl.QueueHWMs(), ctrl.Stats.NotifyQueueHWM)
 	fmt.Printf("controller batches: %d batch RPCs resolving %d keys, %d piggybacked renewals\n",
-		tb.Ctrl.Stats.BatchQueries, tb.Ctrl.Stats.BatchedKeys, tb.Ctrl.Stats.BatchRenewals)
+		ctrl.Stats.BatchQueries, ctrl.Stats.BatchedKeys, ctrl.Stats.BatchRenewals)
 
 	fmt.Println("\n=== per-host MasQ backends ===")
 	for i := range tb.Hosts {
@@ -264,12 +265,12 @@ func main() {
 		// and MRs and the controller unmaps the tenant endpoint — the
 		// surviving peer is told nothing (it would discover the death by
 		// retry exhaustion, exactly like the outage above).
-		before := len(tb.Ctrl.Dump(200))
+		before := len(tb.CtrlSharded.Dump(200))
 		if err := tb.CrashNode(g2); err != nil {
 			panic(err)
 		}
 		tb.Eng.Run()
-		fmt.Printf("crashed g2: controller VNI-200 mappings %d -> %d\n", before, len(tb.Ctrl.Dump(200)))
+		fmt.Printf("crashed g2: controller VNI-200 mappings %d -> %d\n", before, len(tb.CtrlSharded.Dump(200)))
 
 		fmt.Println("\n=== fault & recovery counters ===")
 		fmt.Printf("injector: %d link transitions, %d loss windows, %d switch transitions, %d crashes\n",
@@ -318,7 +319,7 @@ func main() {
 		now := tb.Eng.Now()
 		crashAt := now.Add(masq.Ms(1))
 		restartAt := crashAt.Add(masq.Ms(10))
-		epochBefore := tb.Ctrl.Epoch()
+		epochBefore := tb.CtrlSharded.MaxEpoch()
 		tb.StartLeases(restartAt.Add(masq.Ms(20)))
 		tb.CrashController(crashAt, restartAt)
 
@@ -341,7 +342,7 @@ func main() {
 		// table mid-run rather than after the engine drains.
 		var acmeMaps, globexMaps int
 		tb.Eng.At(restartAt.Add(masq.Ms(10)), func() {
-			acmeMaps, globexMaps = len(tb.Ctrl.Dump(100)), len(tb.Ctrl.Dump(200))
+			acmeMaps, globexMaps = len(tb.CtrlSharded.Dump(100)), len(tb.CtrlSharded.Dump(200))
 		})
 		tb.Eng.Run()
 
@@ -350,7 +351,7 @@ func main() {
 		fmt.Printf("backend had detected the outage before connecting: %v\n", downSeen)
 		fmt.Printf("a1 -> a2 RC connection established in the dark; rename grace-served from cache: %v\n", graced)
 		fmt.Printf("controller epoch %d -> %d (%d crash, %d restart); restarted empty, rebuilt by lease re-registration\n",
-			epochBefore, tb.Ctrl.Epoch(), tb.Ctrl.Stats.Crashes, tb.Ctrl.Stats.Restarts)
+			epochBefore, tb.CtrlSharded.MaxEpoch(), ctrl.Stats.Crashes, ctrl.Stats.Restarts)
 		fmt.Printf("table 10 ms after restart: VNI 100 has %d mappings, VNI 200 has %d\n",
 			acmeMaps, globexMaps)
 		if *doChaos {
@@ -457,14 +458,14 @@ func main() {
 		fmt.Printf("peer host0: %d QPs suspended, %d renamed in place, %d resumed with PSN replay\n",
 			peerBE.Stats.MigrSuspendedQPs, peerBE.Stats.MigrRenames, peerBE.Stats.MigrResumes)
 		fmt.Printf("controller: %d suspend pushes, %d move commits; a2 now served by host%d\n",
-			tb.Ctrl.Stats.Suspends, tb.Ctrl.Stats.Moves, 2)
+			ctrl.Stats.Suspends, ctrl.Stats.Moves, 2)
 	}
 
 	if *ctrlFailover {
 		fmt.Println("\n=== sharded controller: per-shard failover on a fresh 4-shard testbed ===")
-		// The main scenario runs the classic unsharded controller; the
-		// sharded demo gets its own testbed so the two control-plane
-		// flavors are shown side by side.
+		// The main scenario runs a one-shard controller; the 4-shard demo
+		// gets its own testbed so the two deployments are shown side by
+		// side.
 		cfg2 := masq.DefaultConfig()
 		cfg2.Hosts = 3
 		cfg2.CtrlShards = 4
@@ -559,7 +560,7 @@ func protoName(p int) string {
 }
 
 func dumpMappings(tb *masq.Testbed, vni uint32) {
-	dump := tb.Ctrl.Dump(vni)
+	dump := tb.CtrlSharded.Dump(vni)
 	keys := make([]controller.Key, 0, len(dump))
 	for k := range dump {
 		keys = append(keys, k)

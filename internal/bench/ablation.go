@@ -130,7 +130,7 @@ func ablCache() *Table {
 		})
 		cp.TB.Eng.Run()
 		_ = c
-		return rtr, cp.TB.Ctrl.Stats.Queries
+		return rtr, cp.TB.CtrlSharded.Primary(0).Stats.Queries
 	}
 	warmRTR, warmQ := run(false, true)
 	pushRTR, pushQ := run(true, true)
@@ -545,7 +545,7 @@ func ablCtrlFaults() *Table {
 		}
 		t.AddRow(delayLabel, fmt.Sprintf("%.1f", s.drop),
 			us(pctile(lats, 0.50)), us(pctile(lats, 0.95)), us(pctile(lats, 1.0)),
-			tb.Backend(0).Stats.StaleRenames, tb.Ctrl.Stats.NotifyDropped)
+			tb.Backend(0).Stats.StaleRenames, tb.CtrlSharded.Primary(0).Stats.NotifyDropped)
 	}
 	t.Note("stale reconnects pay stale detection (%v) + invalidate + controller re-query on top of the warm-cache RTR", cluster.DefaultConfig().Masq.StaleDetectCost)
 	t.Note("prompt pushes (delay 0, no loss) refresh the cache before the reconnect: no stale renames, flat latency")

@@ -29,7 +29,7 @@ func ablCtrlCrash() *Table {
 		Columns: []string{"outage (ms)", "attempts", "ok", "graced", "failed",
 			"success %", "reconverge (µs)", "epoch"},
 	}
-	const vni = 100      // NewConnectedPair's tenant
+	const vni = 100     // NewConnectedPair's tenant
 	const attempts = 16 // fixed train: one setup per ms from the crash instant
 	for _, outage := range []simtime.Duration{0, simtime.Ms(2), simtime.Ms(5), simtime.Ms(10), simtime.Ms(20)} {
 		cfg := cluster.DefaultConfig()
@@ -89,7 +89,7 @@ func ablCtrlCrash() *Table {
 			tb.Eng.Spawn("reconverge-watch", func(p *simtime.Proc) {
 				p.Sleep(restartAt.Sub(p.Now()))
 				for {
-					if len(tb.Ctrl.Dump(vni)) == 2 {
+					if len(tb.CtrlSharded.Dump(vni)) == 2 {
 						reconverge = p.Now().Sub(restartAt)
 						return
 					}
@@ -110,7 +110,7 @@ func ablCtrlCrash() *Table {
 		}
 		t.AddRow(fmt.Sprintf("%.0f", outage.Micros()/1000), total, okN,
 			tb.Backend(0).Stats.GraceRenames, failN,
-			fmt.Sprintf("%.0f", rate), recon, tb.Ctrl.Epoch())
+			fmt.Sprintf("%.0f", rate), recon, tb.CtrlSharded.MaxEpoch())
 	}
 	t.Note("grace mode serves setups from cache entries younger than the grace TTL; an outage longer than the TTL is the first to fail attempts")
 	t.Note("reconvergence is edge-driven: the first lease-renewal round after the restart re-registers every live endpoint under the new epoch")

@@ -33,9 +33,9 @@ type CtrlScalePoint struct {
 	MaxQueueHWM int `json:"max_queue_hwm"`
 	// Retries counts renewal batches that had to be re-sent (dark or
 	// fenced shard); FencedWrites is the controller-side fence count.
-	Retries      int    `json:"retries"`
-	FencedWrites uint64 `json:"fenced_writes"`
-	Events       uint64 `json:"events"`
+	Retries      int     `json:"retries"`
+	FencedWrites uint64  `json:"fenced_writes"`
+	Events       uint64  `json:"events"`
 	WallSeconds  float64 `json:"wall_seconds"`
 }
 

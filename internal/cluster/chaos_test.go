@@ -45,7 +45,7 @@ func TestCrashNodeCleansUpStateEverywhere(t *testing.T) {
 	if len(serverB.CT.Conns()) == 0 || len(clientB.CT.Conns()) == 0 {
 		t.Fatal("expected conntrack entries on both hosts after connect")
 	}
-	if got := len(tb.Ctrl.Dump(vni)); got != 2 {
+	if got := len(tb.CtrlSharded.Dump(vni)); got != 2 {
 		t.Fatalf("controller has %d mappings, want 2", got)
 	}
 
@@ -83,7 +83,7 @@ func TestCrashNodeCleansUpStateEverywhere(t *testing.T) {
 	if serverB.Stats.Crashes != 1 {
 		t.Fatalf("server backend crashes = %d, want 1", serverB.Stats.Crashes)
 	}
-	if got := len(tb.Ctrl.Dump(vni)); got != 1 {
+	if got := len(tb.CtrlSharded.Dump(vni)); got != 1 {
 		t.Fatalf("controller has %d mappings after crash, want 1 (survivor only)", got)
 	}
 	if tb.Fab.Lookup(vni, cp.ServerNode.VIP) != nil {
@@ -120,7 +120,7 @@ func TestDestroyQPRacesCrashNode(t *testing.T) {
 	if n := len(tb.Backends[1].CT.Conns()); n != 0 {
 		t.Fatalf("leaked %d conntrack entries", n)
 	}
-	if got := len(tb.Ctrl.Dump(vni)); got != 1 {
+	if got := len(tb.CtrlSharded.Dump(vni)); got != 1 {
 		t.Fatalf("controller has %d mappings, want 1", got)
 	}
 	if cp.ServerNode.Host.VMs() != 0 {
@@ -313,7 +313,7 @@ func soakSummary(t *testing.T, seed int64) []byte {
 			t.Fatalf("backend %d leaked %d conntrack entries: %v", i, n, be.CT.Conns())
 		}
 	}
-	if got := len(tb.Ctrl.Dump(vni)); got != 4 {
+	if got := len(tb.CtrlSharded.Dump(vni)); got != 4 {
 		t.Fatalf("controller has %d mappings after drain, want 4", got)
 	}
 
@@ -335,7 +335,7 @@ func soakSummary(t *testing.T, seed int64) []byte {
 	}
 	fmt.Fprintf(&sum, "chaos transitions=%d loss=%d crashes=%d ctrl=%d\n",
 		tb.Chaos.Stats.LinkTransitions, tb.Chaos.Stats.LossWindows,
-		tb.Chaos.Stats.Crashes, len(tb.Ctrl.Dump(vni)))
+		tb.Chaos.Stats.Crashes, len(tb.CtrlSharded.Dump(vni)))
 	return sum.Bytes()
 }
 

@@ -1147,7 +1147,7 @@ func TestConnectRetriesThroughControllerOutage(t *testing.T) {
 	if err != nil {
 		t.Fatalf("connect through outage: %v", err)
 	}
-	if cp.TB.Ctrl.Stats.Timeouts == 0 {
+	if cp.TB.CtrlSharded.Primary(0).Stats.Timeouts == 0 {
 		t.Fatal("no query timed out: the fault plan was never armed")
 	}
 	if cp.TB.Backend(0).Stats.QueryRetries == 0 {
@@ -1175,8 +1175,8 @@ func TestConnectSurvivesDroppedReplies(t *testing.T) {
 	if err != nil {
 		t.Fatalf("connect with dropped replies: %v", err)
 	}
-	if cp.TB.Ctrl.Stats.DroppedReplies != 2 {
-		t.Fatalf("dropped replies = %d, want 2", cp.TB.Ctrl.Stats.DroppedReplies)
+	if cp.TB.CtrlSharded.Primary(0).Stats.DroppedReplies != 2 {
+		t.Fatalf("dropped replies = %d, want 2", cp.TB.CtrlSharded.Primary(0).Stats.DroppedReplies)
 	}
 	retries := cp.TB.Backend(0).Stats.QueryRetries + cp.TB.Backend(1).Stats.QueryRetries
 	if retries < 2 {

@@ -79,7 +79,7 @@ func ctrlCrashSummary(t *testing.T, seed int64, crash bool) []byte {
 	var table map[controller.Key]controller.Mapping
 	caches := make([]map[controller.Key]controller.Mapping, cfg.Hosts)
 	tb.Eng.At(simtime.Time(simtime.Ms(45)), func() {
-		table = tb.Ctrl.Dump(vni)
+		table = tb.CtrlSharded.Dump(vni)
 		for i, be := range tb.Backends {
 			if be != nil {
 				caches[i] = be.CacheSnapshot()
@@ -134,10 +134,11 @@ func ctrlCrashSummary(t *testing.T, seed int64, crash bool) []byte {
 		reval += be.Stats.GraceRevalidated
 		epochBumps += be.Stats.EpochBumps
 	}
+	ctrl := tb.CtrlSharded.Primary(0) // one controller shard
 	if crash {
-		if tb.Ctrl.Epoch() != 2 || tb.Ctrl.Stats.Crashes != 1 || tb.Ctrl.Stats.Restarts != 1 {
+		if ctrl.Epoch() != 2 || ctrl.Stats.Crashes != 1 || ctrl.Stats.Restarts != 1 {
 			t.Fatalf("controller epoch/crashes/restarts = %d/%d/%d, want 2/1/1",
-				tb.Ctrl.Epoch(), tb.Ctrl.Stats.Crashes, tb.Ctrl.Stats.Restarts)
+				ctrl.Epoch(), ctrl.Stats.Crashes, ctrl.Stats.Restarts)
 		}
 		if grace == 0 {
 			t.Fatal("no rename was grace-served during the outage")
@@ -149,14 +150,14 @@ func ctrlCrashSummary(t *testing.T, seed int64, crash bool) []byte {
 			t.Fatal("no backend observed the epoch bump")
 		}
 		for i, be := range tb.Backends {
-			if be != nil && be.Epoch() != tb.Ctrl.Epoch() {
+			if be != nil && be.Epoch() != ctrl.Epoch() {
 				t.Fatalf("backend %d stuck at epoch %d, controller at %d",
-					i, be.Epoch(), tb.Ctrl.Epoch())
+					i, be.Epoch(), ctrl.Epoch())
 			}
 		}
 	} else {
-		if tb.Ctrl.Epoch() != 1 || grace != 0 {
-			t.Fatalf("control arm saw epoch %d, grace %d; want 1, 0", tb.Ctrl.Epoch(), grace)
+		if ctrl.Epoch() != 1 || grace != 0 {
+			t.Fatalf("control arm saw epoch %d, grace %d; want 1, 0", ctrl.Epoch(), grace)
 		}
 	}
 
@@ -164,9 +165,9 @@ func ctrlCrashSummary(t *testing.T, seed int64, crash bool) []byte {
 	sum.Write(tb.Chaos.TraceBytes())
 	fmt.Fprintf(&sum, "\nA msgs=%d bytes=%d fatals=%d reconnects=%d\n", a.Msgs, a.Bytes, a.Fatals, a.Reconnects)
 	fmt.Fprintf(&sum, "B msgs=%d bytes=%d fatals=%d reconnects=%d\n", b.Msgs, b.Bytes, b.Fatals, b.Reconnects)
-	cs := tb.Ctrl.Stats
+	cs := ctrl.Stats
 	fmt.Fprintf(&sum, "ctrl epoch=%d crashes=%d restarts=%d renewals=%d expired=%d lost=%d wiped=%d hwm=%d table=%d\n",
-		tb.Ctrl.Epoch(), cs.Crashes, cs.Restarts, cs.Renewals, cs.LeaseExpired,
+		ctrl.Epoch(), cs.Crashes, cs.Restarts, cs.Renewals, cs.LeaseExpired,
 		cs.LostUpdates, cs.NotifyWiped, cs.NotifyQueueHWM, len(table))
 	for i, be := range tb.Backends {
 		if be == nil {
@@ -243,7 +244,7 @@ func TestRandomPlanWithCtrlCrashes(t *testing.T) {
 		t.Fatalf("applied %d crashes / %d restarts, want 2/2",
 			tb.Chaos.Stats.CtrlCrashes, tb.Chaos.Stats.CtrlRestarts)
 	}
-	if tb.Ctrl.Epoch() != 3 {
-		t.Fatalf("controller epoch %d after two restarts, want 3", tb.Ctrl.Epoch())
+	if tb.CtrlSharded.MaxEpoch() != 3 {
+		t.Fatalf("controller epoch %d after two restarts, want 3", tb.CtrlSharded.MaxEpoch())
 	}
 }

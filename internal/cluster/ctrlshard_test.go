@@ -13,6 +13,7 @@ package cluster_test
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"testing"
 
 	"masq/internal/apps/perftest"
@@ -257,13 +258,14 @@ func TestTotalOutageOnShardedController(t *testing.T) {
 }
 
 // oracleDigest runs the plain soak workload (streams, link cut, leases — no
-// controller failure) and digests everything the workload can observe:
-// stream counters, backend stats, and the reconverged mapping table.
-func oracleDigest(t *testing.T, ctrlShards int) []byte {
+// controller failure) on a one-shard controller without replication and
+// digests everything the workload can observe: stream counters, backend
+// stats, and the reconverged mapping table.
+func oracleDigest(t *testing.T) []byte {
 	t.Helper()
 	cfg := shortRetry(cluster.DefaultConfig())
 	cfg.Hosts = 3
-	cfg.CtrlShards = ctrlShards // 0 = the classic unsharded controller
+	cfg.CtrlShards = 1
 	cfg.Masq.PushDown = true
 	cfg.Masq.GraceTTL = simtime.Ms(30)
 	cfg.Masq.LeaseRenewEvery = simtime.Ms(1)
@@ -296,16 +298,10 @@ func oracleDigest(t *testing.T, ctrlShards int) []byte {
 	resB := perftest.StartResilientWriteBW(tb, c1, s1, 7801, 8192, horizon, pol)
 
 	var table map[controller.Key]controller.Mapping
-	tb.Eng.At(simtime.Time(simtime.Ms(45)), func() {
-		if tb.CtrlSharded != nil {
-			table = tb.CtrlSharded.Dump(vni)
-		} else {
-			table = tb.Ctrl.Dump(vni)
-		}
-	})
+	tb.Eng.At(simtime.Time(simtime.Ms(45)), func() { table = tb.CtrlSharded.Dump(vni) })
 	tb.Eng.Run()
 	if !resA.Triggered() || !resB.Triggered() {
-		t.Fatalf("streams stuck (ctrlShards=%d; pending: %v)", ctrlShards, tb.Eng.PendingProcs())
+		t.Fatalf("streams stuck (pending: %v)", tb.Eng.PendingProcs())
 	}
 	a, b := resA.Value(), resB.Value()
 
@@ -336,12 +332,16 @@ func oracleDigest(t *testing.T, ctrlShards int) []byte {
 // TestOneShardNoReplicationMatchesClassicOracle is the seed-oracle guard:
 // routing the whole control plane through a 1-shard Sharded front with
 // replication off must be invisible — every workload-observable value
-// (stream counters, backend stats, reconverged table) matches the classic
-// unsharded controller byte for byte.
+// (stream counters, backend stats, reconverged table) matches, byte for
+// byte, what the workload observed on the classic unsharded controller.
+// That controller path no longer exists, so its digest is a fixed golden
+// file recorded from it; there is deliberately no flag to re-record it.
 func TestOneShardNoReplicationMatchesClassicOracle(t *testing.T) {
-	classic := oracleDigest(t, 0)
-	oneShard := oracleDigest(t, 1)
-	if !bytes.Equal(classic, oneShard) {
+	classic, err := os.ReadFile("testdata/classic_oracle.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if oneShard := oracleDigest(t); !bytes.Equal(classic, oneShard) {
 		t.Fatalf("1-shard controller diverges from the classic oracle:\n--- classic ---\n%s\n--- 1-shard ---\n%s",
 			classic, oneShard)
 	}

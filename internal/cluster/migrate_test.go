@@ -190,7 +190,7 @@ func TestLiveMigrateStreamingExactCompletions(t *testing.T) {
 	}
 
 	// The controller republished the endpoint under the destination host.
-	table := tb.Ctrl.Dump(vni)
+	table := tb.CtrlSharded.Dump(vni)
 	if len(table) != 2 {
 		t.Fatalf("controller has %d mappings, want 2", len(table))
 	}
@@ -216,9 +216,8 @@ func TestLiveMigrateStreamingExactCompletions(t *testing.T) {
 		t.Fatalf("MigrOut/MigrIn = %d/%d, want 1/1",
 			tb.Backend(1).Stats.MigrOut, tb.Backend(2).Stats.MigrIn)
 	}
-	if tb.Ctrl.Stats.Suspends != 1 || tb.Ctrl.Stats.Moves != 1 {
-		t.Fatalf("controller suspends/moves = %d/%d, want 1/1",
-			tb.Ctrl.Stats.Suspends, tb.Ctrl.Stats.Moves)
+	if cs := tb.CtrlSharded.Primary(0).Stats; cs.Suspends != 1 || cs.Moves != 1 {
+		t.Fatalf("controller suspends/moves = %d/%d, want 1/1", cs.Suspends, cs.Moves)
 	}
 }
 
@@ -227,7 +226,7 @@ func TestLiveMigrateStreamingExactCompletions(t *testing.T) {
 func TestLiveMigrateSameHostNoOp(t *testing.T) {
 	cp := threeHostPair(t, cluster.DefaultConfig())
 	tb := cp.TB
-	updatesBefore := tb.Ctrl.Stats.Updates
+	updatesBefore := tb.CtrlSharded.Primary(0).Stats.Updates
 	var rep *cluster.MigrateReport
 	done := simtime.NewEvent[error](tb.Eng)
 	tb.Eng.Spawn("noop", func(p *simtime.Proc) {
@@ -242,10 +241,10 @@ func TestLiveMigrateSameHostNoOp(t *testing.T) {
 	if rep.PreCopyRounds != 0 || rep.Blackout != 0 || rep.RolledBack {
 		t.Fatalf("same-host migration did work: %+v", rep)
 	}
-	if tb.Backend(1).Stats.MigrOut != 0 || tb.Ctrl.Stats.Suspends != 0 {
+	if tb.Backend(1).Stats.MigrOut != 0 || tb.CtrlSharded.Primary(0).Stats.Suspends != 0 {
 		t.Fatal("same-host migration touched the freeze machinery")
 	}
-	if tb.Ctrl.Stats.Updates != updatesBefore {
+	if tb.CtrlSharded.Primary(0).Stats.Updates != updatesBefore {
 		t.Fatal("same-host migration re-registered with the controller")
 	}
 }
@@ -264,7 +263,7 @@ func TestLiveMigrateRefusedModes(t *testing.T) {
 				t.Fatal(err)
 			}
 			tb := cp.TB
-			dumpBefore := len(tb.Ctrl.Dump(vni))
+			dumpBefore := len(tb.CtrlSharded.Dump(vni))
 			done := simtime.NewEvent[error](tb.Eng)
 			tb.Eng.Spawn("refused", func(p *simtime.Proc) {
 				_, err := tb.LiveMigrateNode(p, cp.ServerNode, 2, cluster.MigrateOpts{})
@@ -277,7 +276,7 @@ func TestLiveMigrateRefusedModes(t *testing.T) {
 			if cp.ServerNode.Host != tb.Hosts[1] {
 				t.Fatal("refused migration moved the VM")
 			}
-			if got := len(tb.Ctrl.Dump(vni)); got != dumpBefore {
+			if got := len(tb.CtrlSharded.Dump(vni)); got != dumpBefore {
 				t.Fatalf("refusal changed controller state: %d -> %d mappings", dumpBefore, got)
 			}
 			// The pair still moves data.
@@ -316,8 +315,8 @@ func TestMigrateNodeRefusalLeavesStateUntouched(t *testing.T) {
 	}
 	tb := cp.TB
 	providerBefore := cp.ServerNode.Provider
-	updatesBefore := tb.Ctrl.Stats.Updates
-	tableBefore := tb.Ctrl.Dump(vni)
+	updatesBefore := tb.CtrlSharded.Primary(0).Stats.Updates
+	tableBefore := tb.CtrlSharded.Dump(vni)
 
 	// Refusal: the endpoint's MR is still registered (pinned).
 	if err := tb.MigrateNode(cp.ServerNode, 2); err == nil {
@@ -326,7 +325,7 @@ func TestMigrateNodeRefusalLeavesStateUntouched(t *testing.T) {
 	if cp.ServerNode.Host != tb.Hosts[1] || cp.ServerNode.Provider != providerBefore {
 		t.Fatal("refused migration mutated the node")
 	}
-	if tb.Ctrl.Stats.Updates != updatesBefore {
+	if tb.CtrlSharded.Primary(0).Stats.Updates != updatesBefore {
 		t.Fatal("refused migration touched the controller")
 	}
 	k, m, ok := cp.ServerNode.Provider.(*masq.Frontend).VBond().Registration()
@@ -356,14 +355,14 @@ func TestMigrateNodeRefusalLeavesStateUntouched(t *testing.T) {
 	}
 
 	// Same-host migration: a documented no-op, not a re-register.
-	updatesBefore = tb.Ctrl.Stats.Updates
+	updatesBefore = tb.CtrlSharded.Primary(0).Stats.Updates
 	if err := tb.MigrateNode(cp.ServerNode, 1); err != nil {
 		t.Fatalf("same-host migration errored: %v", err)
 	}
 	if cp.ServerNode.Provider != providerBefore {
 		t.Fatal("same-host migration rebuilt the frontend")
 	}
-	if tb.Ctrl.Stats.Updates != updatesBefore {
+	if tb.CtrlSharded.Primary(0).Stats.Updates != updatesBefore {
 		t.Fatal("same-host migration re-registered with the controller")
 	}
 }
@@ -396,7 +395,7 @@ func TestLiveMigrateLeaseAndPoolFollow(t *testing.T) {
 	// still run: only a destination-side renewal keeps the entry alive.
 	var table map[controller.Key]controller.Mapping
 	tb.Eng.At(base.Add(simtime.Ms(60)), func() {
-		table = tb.Ctrl.Dump(vni)
+		table = tb.CtrlSharded.Dump(vni)
 	})
 	tb.Eng.Run()
 	if err := migDone.Value(); err != nil {
@@ -505,7 +504,7 @@ func TestLiveMigrateCtrlOutageRollsBack(t *testing.T) {
 	})
 	var table map[controller.Key]controller.Mapping
 	tb.Eng.At(base.Add(simtime.Ms(120)), func() {
-		table = tb.Ctrl.Dump(vni)
+		table = tb.CtrlSharded.Dump(vni)
 	})
 	tb.Eng.Run()
 
@@ -613,8 +612,8 @@ func migChaosDigest(t *testing.T, seed int64) []byte {
 			be.Stats.MigrSuspends, be.Stats.MigrRenames, be.Stats.MigrResumes,
 			be.Stats.MigrSuspendExpiry, len(be.CT.Conns()))
 	}
-	fmt.Fprintf(&sb, "ctrl suspends=%d moves=%d table=%d\n",
-		tb.Ctrl.Stats.Suspends, tb.Ctrl.Stats.Moves, len(tb.Ctrl.Dump(vni)))
+	cs := tb.CtrlSharded.Primary(0).Stats
+	fmt.Fprintf(&sb, "ctrl suspends=%d moves=%d table=%d\n", cs.Suspends, cs.Moves, len(tb.CtrlSharded.Dump(vni)))
 	return sb.Bytes()
 }
 

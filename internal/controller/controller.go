@@ -517,14 +517,6 @@ func (c *Controller) rpc(p *simtime.Proc) error {
 	return nil
 }
 
-// Query performs a remote lookup, paying the query round trip. It is the
-// fault-oblivious legacy interface: a timeout surfaces as a miss. Callers
-// that must distinguish "no mapping" from "no answer" use Lookup.
-func (c *Controller) Query(p *simtime.Proc, k Key) (Mapping, bool) {
-	m, ok, _ := c.Lookup(p, k)
-	return m, ok
-}
-
 // Lookup performs one remote lookup attempt, modelling the RPC. On
 // success the caller pays QueryRTT and gets the table's answer (expired
 // leases are purged here, lazily). Under an active fault the caller waits

@@ -18,7 +18,7 @@ import (
 type bed struct {
 	eng  *simtime.Engine
 	fab  *overlay.Fabric
-	ctrl *controller.Controller
+	ctrl *controller.Controller // the one shard behind be.Ctrl
 	host *hyper.Host
 	be   *Backend
 }
@@ -28,14 +28,14 @@ func newBed(t *testing.T, mode Mode) *bed {
 	eng := simtime.NewEngine()
 	fab := overlay.NewFabric(eng, overlay.DefaultParams())
 	fab.AddTenant(100, "acme")
-	ctrl := controller.New(eng, controller.DefaultParams())
+	svc := controller.NewSharded([]*simtime.Engine{eng}, controller.DefaultParams(), 1)
 	host := hyper.NewHost(eng, hyper.HostConfig{
 		Name: "h0", IP: packet.NewIP(172, 16, 0, 1), MAC: packet.MAC{2, 0, 0, 0, 0, 1},
 		MemBytes: 32 << 30, RNIC: rnic.DefaultParams(), Hyper: hyper.DefaultParams(),
 		Fabric:      fab,
 		ResolveHost: func(packet.IP) (packet.MAC, bool) { return packet.MAC{}, false },
 	})
-	return &bed{eng: eng, fab: fab, ctrl: ctrl, host: host, be: NewBackend(host, ctrl, fab, DefaultParams(), mode)}
+	return &bed{eng: eng, fab: fab, ctrl: svc.Primary(0), host: host, be: NewBackend(host, svc, fab, DefaultParams(), mode)}
 }
 
 func (b *bed) allowAll(t *testing.T, vni uint32) {
@@ -50,14 +50,14 @@ func TestVBondRegistersOnCreation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vb := NewVBond(100, vm.VNIC, b.ctrl, b.be.physIdentity())
+	vb := NewVBond(100, vm.VNIC, b.be.Ctrl, b.be.physIdentity())
 	if ip, _ := vb.GID().IP(); ip != packet.NewIP(192, 168, 1, 1) {
 		t.Fatalf("vGID embeds %v", ip)
 	}
 	var m controller.Mapping
 	var ok bool
 	b.eng.Spawn("q", func(p *simtime.Proc) {
-		m, ok = b.ctrl.Query(p, controller.Key{VNI: 100, VGID: vb.GID()})
+		m, ok, _ = b.ctrl.Lookup(p, controller.Key{VNI: 100, VGID: vb.GID()})
 	})
 	b.eng.Run()
 	if !ok || m.PIP != b.host.IP {
@@ -68,7 +68,7 @@ func TestVBondRegistersOnCreation(t *testing.T) {
 func TestVBondTracksIPChange(t *testing.T) {
 	b := newBed(t, ModeVF)
 	vm, _ := b.host.NewVM("vm0", 1<<30, 100, packet.NewIP(192, 168, 1, 1))
-	vb := NewVBond(100, vm.VNIC, b.ctrl, b.be.physIdentity())
+	vb := NewVBond(100, vm.VNIC, b.be.Ctrl, b.be.physIdentity())
 	oldGID := vb.GID()
 	if err := vm.VNIC.SetIP(packet.NewIP(192, 168, 1, 42)); err != nil {
 		t.Fatal(err)
@@ -78,8 +78,8 @@ func TestVBondTracksIPChange(t *testing.T) {
 	}
 	var oldOK, newOK bool
 	b.eng.Spawn("q", func(p *simtime.Proc) {
-		_, oldOK = b.ctrl.Query(p, controller.Key{VNI: 100, VGID: oldGID})
-		_, newOK = b.ctrl.Query(p, controller.Key{VNI: 100, VGID: vb.GID()})
+		_, oldOK, _ = b.ctrl.Lookup(p, controller.Key{VNI: 100, VGID: oldGID})
+		_, newOK, _ = b.ctrl.Lookup(p, controller.Key{VNI: 100, VGID: vb.GID()})
 	})
 	b.eng.Run()
 	if oldOK {
@@ -196,7 +196,7 @@ func TestPushDownSeedsPreexistingMappings(t *testing.T) {
 
 	p := DefaultParams()
 	p.PushDown = true
-	be2 := NewBackend(b.host, b.ctrl, b.fab, p, ModeVF)
+	be2 := NewBackend(b.host, b.be.Ctrl, b.fab, p, ModeVF)
 	vm, err := b.host.NewVM("late-vm", 1<<30, 100, packet.NewIP(192, 168, 1, 9))
 	if err != nil {
 		t.Fatal(err)

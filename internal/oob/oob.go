@@ -143,10 +143,10 @@ type Conn struct {
 	inbox     *simtime.Queue[[]byte]
 	closed    bool
 
-	txSeq   byte               // next sequence number to assign
-	rxNext  byte               // next sequence number to deliver
-	pend    map[byte]*retxJob  // unacked outbound segments
-	reorder map[byte][]byte    // out-of-order inbound segments
+	txSeq   byte              // next sequence number to assign
+	rxNext  byte              // next sequence number to deliver
+	pend    map[byte]*retxJob // unacked outbound segments
+	reorder map[byte][]byte   // out-of-order inbound segments
 }
 
 // retxJob retransmits one unacked DATA segment until acked or exhausted.
