@@ -324,6 +324,19 @@ func (tb *Testbed) PendingProcs() []string {
 	return tb.Eng.PendingProcs()
 }
 
+// Close tears the testbed down: it closes the sharded engine, or the
+// single engine, unwinding every proc still parked on it (see
+// simtime.Engine.Close), so a finished testbed keeps no goroutine — and
+// nothing those procs reference — alive. Call it once the testbed's runs
+// are over; the testbed must not be run afterwards.
+func (tb *Testbed) Close() {
+	if tb.Sharded != nil {
+		tb.Sharded.Close()
+		return
+	}
+	tb.Eng.Close()
+}
+
 // HostLink returns the underlay link adjacent to host i: the single
 // direct link for a two-host pair, or the host's ToR uplink otherwise.
 func (tb *Testbed) HostLink(i int) *simnet.Link {

@@ -95,9 +95,12 @@ func NewHost(eng *simtime.Engine, cfg HostConfig) *Host {
 // process of its own.
 func (h *Host) demux(f simnet.Frame) {
 	for {
-		// Frames decode from the RNIC's arena pool: RoCE packets are
-		// released by the RX pipeline after handling; vswitch-bound ones
-		// are retained by the overlay and left to the garbage collector.
+		// Frames decode from the RNIC's arena pool, which takes the frame
+		// over: RoCE packets are released by the RX pipeline after
+		// handling, and frames steered nowhere are released here, both
+		// returning the buffer for reuse by packet.Serialize; vswitch-bound
+		// ones are retained by the overlay and left to the garbage
+		// collector.
 		if pkt, err := h.Dev.RxDecode(f); err == nil {
 			dispatched := false
 			if u := pkt.UDP(); u != nil {

@@ -365,7 +365,9 @@ func TestUnderlayFramesAreVXLANEncapsulated(t *testing.T) {
 
 	var sniffed []*packet.Packet
 	link.Drop = func(f simnet.Frame) bool {
-		if pkt, err := packet.Decode(f); err == nil {
+		// The hook only borrows f, and the decoded packets are kept past
+		// the call, so decode a copy.
+		if pkt, err := packet.Decode(append([]byte(nil), f...)); err == nil {
 			sniffed = append(sniffed, pkt)
 		}
 		return false

@@ -15,6 +15,12 @@ var icrcTable = crc32.MakeTable(crc32.Castagnoli)
 // IPv4.TotalLen and UDP.Length are filled in when zero. If the packet
 // contains a BTH, a 4-byte ICRC covering the BTH and everything after it is
 // appended (and accounted for in the length fields).
+//
+// The buffer comes from the package's frame free list and may hold the
+// bytes of an earlier frame: every layer's marshal writes each byte of its
+// header, so a recycled buffer encodes byte-identically to a fresh one.
+// The caller owns the frame; it returns to the free list when a Pool
+// decodes it and the packet is released.
 func Serialize(layers ...Layer) []byte {
 	// One headerLen pass, cached for the later loops (the interface
 	// dispatch per layer shows up at packet rates).
@@ -34,7 +40,7 @@ func Serialize(layers ...Layer) []byte {
 	if bthIdx >= 0 {
 		icrcLen = 4
 	}
-	buf := make([]byte, total+icrcLen)
+	buf := getFrame(total + icrcLen)
 
 	// Fill length fields bottom-up first: bytes remaining after each header.
 	remaining := total + icrcLen
@@ -269,21 +275,30 @@ type decodeArena struct {
 	aa     AtomicAckETH
 	imm    ImmDt
 
-	pool *Pool // owning pool, nil for one-shot arenas
+	pool  *Pool  // owning pool, nil for one-shot arenas
+	frame []byte // the decoded frame, owned by the arena (pooled arenas only)
 }
 
 // Pool recycles decode arenas for consumers with a clear packet lifetime
 // (the RNIC RX pipeline copies every payload byte out before moving on).
 // Pool.Decode draws an arena from the free list and Packet.Release returns
-// it, so steady-state decoding allocates nothing. Packets whose consumers
-// may retain them (or that never call Release) fall back to the garbage
-// collector — an unreleased arena is lost to the pool, never corrupted.
+// it, together with the decoded frame's buffer, so steady-state decoding
+// and serializing allocate nothing. Packets whose consumers may retain
+// them (or that never call Release) fall back to the garbage collector —
+// an unreleased arena and its frame are lost to the pools, never
+// corrupted.
 type Pool struct {
 	free []*decodeArena
 }
 
 // Decode is the package-level Decode drawing its arena from the pool. The
 // packet and every header it exposes are valid only until Release.
+//
+// Decoding hands ownership of data to the pool, whether or not it
+// succeeds: the packet's Payload aliases it, and Release (or a decode
+// error) recycles it into Serialize's frame free list. The caller must not
+// touch data afterwards, and must not pass a buffer that anything else
+// still holds — a frame delivered to two places is copied first.
 func (pl *Pool) Decode(data []byte) (*Packet, error) {
 	var a *decodeArena
 	if n := len(pl.free); n > 0 {
@@ -293,27 +308,30 @@ func (pl *Pool) Decode(data []byte) (*Packet, error) {
 	} else {
 		a = &decodeArena{}
 	}
-	a.pool = pl
 	p, err := decodeInto(a, data)
 	if err != nil {
 		*a = decodeArena{}
 		pl.free = append(pl.free, a)
+		putFrame(data)
 		return nil, err
 	}
+	a.pool, a.frame = pl, data
 	return p, nil
 }
 
-// Release returns the packet's arena to its pool for reuse; the packet and
-// all its layers are invalid afterwards. It is a no-op for packets decoded
-// outside a pool, so release points need not know how a packet was made.
+// Release returns the packet's arena to its pool and its frame to the
+// frame free list; the packet, all its layers and its Payload are invalid
+// afterwards. It is a no-op for packets decoded outside a pool, so release
+// points need not know how a packet was made.
 func (p *Packet) Release() {
 	a := p.arena
 	if a == nil || a.pool == nil {
 		return
 	}
-	pl := a.pool
+	pl, frame := a.pool, a.frame
 	*a = decodeArena{} // drop frame/payload references before pooling
 	pl.free = append(pl.free, a)
+	putFrame(frame)
 }
 
 // Decode parses a full Ethernet frame produced by Serialize.
@@ -345,6 +363,9 @@ func decodeInto(a *decodeArena, data []byte) (*Packet, error) {
 	p.ipHdr = &a.ip
 	if int(a.ip.TotalLen) > len(rest) {
 		return nil, fmt.Errorf("packet: ipv4 total length %d exceeds frame (%d)", a.ip.TotalLen, len(rest))
+	}
+	if int(a.ip.TotalLen) < n {
+		return nil, fmt.Errorf("packet: ipv4 total length %d shorter than its header", a.ip.TotalLen)
 	}
 	rest = rest[n:a.ip.TotalLen]
 

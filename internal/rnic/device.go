@@ -88,16 +88,19 @@ type Device struct {
 	emitFree   []*emitJob
 	retireFree []*retireJob
 
-	// pktPool recycles decode arenas for arriving frames. The RX pipeline
-	// releases a packet once its handler has copied everything out;
-	// packets steered elsewhere (e.g. the overlay vswitch) are simply
-	// never released and fall back to the garbage collector.
+	// pktPool recycles decode arenas for arriving frames, and with them
+	// the frames themselves. The RX pipeline releases a packet once its
+	// handler has copied everything out, which returns the frame's buffer
+	// to packet.Serialize's free list; packets steered elsewhere (e.g. the
+	// overlay vswitch) are simply never released and fall back to the
+	// garbage collector.
 	pktPool packet.Pool
 }
 
-// RxDecode decodes an arriving frame from the device's arena pool. The
-// caller must treat the packet as dead once the RX pipeline has handled
-// (and released) it.
+// RxDecode decodes an arriving frame from the device's arena pool, taking
+// ownership of the frame. The caller must treat the packet as dead once
+// the RX pipeline has handled (and released) it, and the frame as gone
+// from the call on.
 func (d *Device) RxDecode(f simnet.Frame) (*packet.Packet, error) {
 	return d.pktPool.Decode(f)
 }

@@ -52,6 +52,7 @@ type QP struct {
 	scheduled      bool
 	suspended      bool // migration quiesce: no TX, no retransmit timer
 	timerPending   bool
+	timerCb        func() // cached timerFired: arming allocates no method value
 	deadline       simtime.Time
 	pausedUntil    simtime.Time
 	currentDIP     packet.IP // destination of the frame being built
@@ -475,7 +476,10 @@ func (qp *QP) armTimer() {
 	qp.deadline = qp.dev.eng.Now().Add(qp.dev.P.RetransTimeout)
 	if !qp.timerPending {
 		qp.timerPending = true
-		qp.dev.eng.After(qp.dev.P.RetransTimeout, qp.timerFired)
+		if qp.timerCb == nil {
+			qp.timerCb = qp.timerFired
+		}
+		qp.dev.eng.After(qp.dev.P.RetransTimeout, qp.timerCb)
 	}
 }
 
@@ -487,7 +491,7 @@ func (qp *QP) timerFired() {
 	now := qp.dev.eng.Now()
 	if now < qp.deadline {
 		qp.timerPending = true
-		qp.dev.eng.At(qp.deadline, qp.timerFired)
+		qp.dev.eng.At(qp.deadline, qp.timerCb)
 		return
 	}
 	qp.rewind(qp.sndUna)

@@ -16,6 +16,14 @@ import (
 )
 
 // Frame is a serialized Ethernet frame on the wire.
+//
+// A frame has one holder at a time. Port.Send hands it to the link, the
+// link to the receiving port's RX queue, and the consumer that takes it
+// from there owns it: an RNIC decodes it from its packet.Pool and, on
+// Release, returns the buffer to packet.Serialize's free list for the next
+// frame. Whoever delivers one frame to two places must therefore copy it
+// (the switch's flood does), or the two receivers would recycle one buffer
+// twice.
 type Frame []byte
 
 // DstMAC peeks at the destination MAC without a full decode.
@@ -144,9 +152,12 @@ type Link struct {
 	PropDelay simtime.Duration
 
 	// Drop, when non-nil, is consulted per frame (after serialization);
-	// returning true discards the frame. Retained as a shim for tests that
-	// predate the structured fault layer — new code should use SetDown or
-	// SetLoss, whose drops are attributed in Stats.
+	// returning true discards the frame. The frame is only borrowed for the
+	// duration of the call: a delivered frame passes to its receiver, which
+	// may recycle its buffer, so a hook that keeps anything copies it first.
+	// Retained as a shim for tests that predate the structured fault layer —
+	// new code should use SetDown or SetLoss, whose drops are attributed in
+	// Stats.
 	Drop func(Frame) bool
 
 	dirs  [2]*linkDir
@@ -525,10 +536,21 @@ func (s *Switch) forward(in int, f Frame) {
 			return
 		}
 	}
-	for i, p := range s.ports { // flood
-		if i != in {
-			p.Send(f)
+	// Flood. Each receiver owns, and may recycle, what it is given, so
+	// every egress port but the last gets a copy, made while the switch
+	// still holds f, and the last one gets f itself.
+	var last *Port
+	for i, p := range s.ports {
+		if i == in {
+			continue
 		}
+		if last != nil {
+			last.Send(append(Frame(nil), f...))
+		}
+		last = p
+	}
+	if last != nil {
+		last.Send(f)
 	}
 }
 

@@ -196,6 +196,59 @@ func TestSwitchFloodsUnknownThenLearns(t *testing.T) {
 	}
 }
 
+// TestSwitchFloodCopiesFrame: a frame to an unlearned MAC reaches every
+// other port, and each receiver owns what it gets. Each one decodes from a
+// packet.Pool, releases (recycling the buffer into Serialize's free list)
+// and serializes a same-size frame of other bytes, which draws the buffer
+// just released. Had the flood handed one buffer to both receivers, the
+// second would decode the first one's new frame instead of the original.
+func TestSwitchFloodCopiesFrame(t *testing.T) {
+	eng := simtime.NewEngine()
+	a, b, c := threeHostSwitch(eng)
+	layers := func(fill byte) []packet.Layer {
+		pay := make([]byte, 300)
+		for i := range pay {
+			pay[i] = fill + byte(i)
+		}
+		return []packet.Layer{
+			&packet.Ethernet{Dst: macB, Src: macA, EtherType: packet.EtherTypeIPv4},
+			&packet.IPv4{TTL: 64, Protocol: packet.ProtoUDP, Src: packet.NewIP(1, 1, 1, 1), Dst: packet.NewIP(2, 2, 2, 2)},
+			&packet.UDP{SrcPort: 1, DstPort: 9999},
+			packet.Payload(pay),
+		}
+	}
+	f := Frame(packet.Serialize(layers(0x10)...))
+	want := append([]byte(nil), f...)
+	wantPay := []byte(layers(0x10)[3].(packet.Payload))
+
+	var receivers []string
+	var kept []Frame // the receivers' own later frames, kept out of the free list
+	for _, port := range []*Port{b, c} {
+		port := port
+		var pool packet.Pool
+		port.RX.OnNext(func(got Frame) {
+			receivers = append(receivers, port.Name)
+			if string(got) != string(want) {
+				t.Errorf("%s: flooded frame bytes changed in flight", port.Name)
+			}
+			pkt, err := pool.Decode(got)
+			if err != nil {
+				t.Fatalf("%s: decode: %v", port.Name, err)
+			}
+			if string(pkt.Payload) != string(wantPay) {
+				t.Errorf("%s: decoded payload differs from the one sent", port.Name)
+			}
+			pkt.Release()
+			kept = append(kept, Frame(packet.Serialize(layers(0xe0)...)))
+		})
+	}
+	a.Send(f)
+	eng.Run()
+	if len(receivers) < 2 {
+		t.Fatalf("flood reached %v, want both hostB and hostC", receivers)
+	}
+}
+
 func TestSwitchBroadcast(t *testing.T) {
 	eng := simtime.NewEngine()
 	a, b, c := threeHostSwitch(eng)
