@@ -66,9 +66,7 @@ func NewRouter(host *hyper.Host, p Params) *Router {
 
 // forward charges one FFR data-path operation (serialized on FFR cores).
 func (r *Router) forward(p *simtime.Proc, cost simtime.Duration) {
-	r.cpu.Acquire(p)
-	p.Sleep(cost)
-	r.cpu.Release()
+	r.cpu.Use(p, cost)
 }
 
 // Provider is a container's FreeFlow verbs endpoint.

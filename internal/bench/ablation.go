@@ -257,10 +257,10 @@ func ablVirtioBatch() *Table {
 		Columns: []string{"strategy", "total (µs)", "per-command (µs)"},
 	}
 	eng := simtime.NewEngine()
-	ring := virtio.NewRing(eng, virtio.DefaultParams())
-	ring.Serve("batch-bench", func(p *simtime.Proc, cmd any) any {
+	ring := virtio.NewRing[int, int](eng, virtio.DefaultParams())
+	ring.Serve("batch-bench", func(p *simtime.Proc, cmd *int) int {
 		p.Sleep(simtime.Us(10))
-		return cmd
+		return *cmd
 	})
 	var serial, batched simtime.Duration
 	eng.Spawn("bench", func(p *simtime.Proc) {
@@ -269,7 +269,7 @@ func ablVirtioBatch() *Table {
 			ring.Call(p, i)
 		}
 		serial = p.Now().Sub(s)
-		cmds := make([]any, 8)
+		cmds := make([]int, 8)
 		for i := range cmds {
 			cmds[i] = i
 		}

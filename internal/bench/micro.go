@@ -46,12 +46,12 @@ func table1() *Table {
 	node := cp.ClientNode
 
 	// Measure the virtio round trip on a scratch ring.
-	ring := virtio.NewRing(eng, virtio.DefaultParams())
-	ring.Serve("t1-echo", func(p *simtime.Proc, cmd any) any { return cmd })
+	ring := virtio.NewRing[int, int](eng, virtio.DefaultParams())
+	ring.Serve("t1-echo", func(p *simtime.Proc, cmd *int) int { return *cmd })
 	var rtt simtime.Duration
 	eng.Spawn("t1-rtt", func(p *simtime.Proc) {
 		s := p.Now()
-		ring.Call(p, nil)
+		ring.Call(p, 0)
 		rtt = p.Now().Sub(s)
 	})
 	eng.Run()

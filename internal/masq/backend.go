@@ -12,7 +12,6 @@ import (
 	"masq/internal/rnic"
 	"masq/internal/simtime"
 	"masq/internal/trace"
-	"masq/internal/verbs"
 	"masq/internal/virtio"
 )
 
@@ -263,16 +262,20 @@ func (b *Backend) onNotify(shard int, n controller.Notify) {
 		delete(b.cache, k)
 		return
 	}
-	if b.P.PushDown {
-		b.cacheStore(k, n.Mapping) // controller pushes mappings down in advance
-	} else if _, ok := b.cache[k]; ok {
-		b.cacheStore(k, n.Mapping) // keep cached entries fresh
-	}
+	b.cacheRefresh(k, n.Mapping)
 }
 
 // cacheStore writes a controller-confirmed mapping, stamping it fresh now.
 func (b *Backend) cacheStore(k controller.Key, m controller.Mapping) {
 	b.cache[k] = cacheEntry{m: m, fresh: b.Host.Eng.Now()}
+}
+
+// cacheRefresh applies a mapping the controller pushed or dumped: stored
+// in advance under PushDown, otherwise only to keep a cached entry fresh.
+func (b *Backend) cacheRefresh(k controller.Key, m controller.Mapping) {
+	if _, ok := b.cache[k]; ok || b.P.PushDown {
+		b.cacheStore(k, m)
+	}
 }
 
 // SetRecorder attaches a trace recorder to the backend and its conntrack.
@@ -282,10 +285,11 @@ func (b *Backend) SetRecorder(r *trace.Recorder) {
 	b.CT.rec = r
 }
 
-// physIdentity is the mapping vBond registers for endpoints on this host:
-// the RNIC's physical addressing (footnote 2 of the paper: source
-// addresses are always the physical ones).
-func (b *Backend) physIdentity() controller.Mapping {
+// HostMapping is this backend's physical identity: the RNIC's addressing
+// that its vBonds register (footnote 2 of the paper: source addresses are
+// always the physical ones) and that a migration rollback republishes to
+// resume suspended peers.
+func (b *Backend) HostMapping() controller.Mapping {
 	return controller.Mapping{
 		PGID: packet.GIDFromIP(b.Host.IP),
 		PIP:  b.Host.IP,
@@ -378,68 +382,66 @@ func (b *Backend) resolveGID(p *simtime.Proc, vni uint32, vgid packet.GID) (cont
 	return m, false, err
 }
 
-// retryPlan computes the first backoff and the doubling cap for controller
-// lookup retries. A zero configured backoff is floored at one controller
-// query timeout — re-querying a dead controller immediately only repeats
-// the same timeout — and doubling is clamped at RetryBackoffMax so a large
-// QueryRetries cannot overflow simtime.Duration.
-func (b *Backend) retryPlan() (backoff, limit simtime.Duration) {
+// withRetry runs rpc against one controller shard until it succeeds or
+// the QueryRetries budget is spent, backing off exponentially in between.
+// A zero RetryBackoff is floored at one controller query timeout —
+// re-querying a dead controller immediately only repeats the same timeout
+// — and doubling is clamped at RetryBackoffMax (zero: ten timeouts), so a
+// large QueryRetries cannot overflow simtime.Duration. It returns the
+// attempts made and the last error.
+func (b *Backend) withRetry(p *simtime.Proc, shard int, rpc func() (epoch uint64, err error)) (int, error) {
 	cp := b.Ctrl.RPCParams()
 	timeout := cp.QueryTimeout
 	if timeout <= 0 {
 		timeout = 10 * cp.QueryRTT
 	}
-	backoff = b.P.RetryBackoff
+	backoff, limit := b.P.RetryBackoff, b.P.RetryBackoffMax
 	if backoff <= 0 {
 		backoff = timeout
 	}
-	limit = b.P.RetryBackoffMax
 	if limit <= 0 {
 		limit = 10 * timeout
 	}
-	if backoff > limit {
-		backoff = limit
+	backoff = min(backoff, limit)
+	for i := 1; ; i++ {
+		ep, err := rpc()
+		if err == nil {
+			b.ctrlOK(shard, ep)
+			return i, nil
+		}
+		b.ctrlFail(shard)
+		if i >= max(b.P.QueryRetries, 1) {
+			b.Stats.QueryFailures++
+			return i, err
+		}
+		b.Stats.QueryRetries++
+		b.Rec.Add("controller.query_retries", 1)
+		p.Sleep(backoff)
+		if backoff <= limit/2 {
+			backoff *= 2
+		} else {
+			backoff = limit
+		}
 	}
-	return backoff, limit
-}
-
-// nextBackoff doubles a retry backoff under the clamp, without overflow.
-func nextBackoff(backoff, limit simtime.Duration) simtime.Duration {
-	if backoff <= limit/2 {
-		return backoff * 2
-	}
-	return limit
 }
 
 // lookupWithRetry queries the controller directly (no cache read), backing
 // off exponentially while queries time out, and caches the answer.
 func (b *Backend) lookupWithRetry(p *simtime.Proc, k controller.Key) (controller.Mapping, error) {
-	attempts := b.P.QueryRetries
-	if attempts < 1 {
-		attempts = 1
+	var m controller.Mapping
+	var ok bool
+	n, err := b.withRetry(p, b.Ctrl.Owner(k), func() (ep uint64, err error) {
+		m, ok, ep, err = b.Ctrl.Resolve(p, k)
+		return ep, err
+	})
+	switch {
+	case err != nil:
+		return controller.Mapping{}, fmt.Errorf("masq: resolving vGID %v in VNI %d (%d attempts): %w", k.VGID, k.VNI, n, err)
+	case !ok:
+		return controller.Mapping{}, fmt.Errorf("masq: no mapping for vGID %v in VNI %d", k.VGID, k.VNI)
 	}
-	backoff, limit := b.retryPlan()
-	shard := b.Ctrl.Owner(k)
-	for i := 1; ; i++ {
-		m, ok, ep, err := b.Ctrl.Resolve(p, k)
-		if err == nil {
-			b.ctrlOK(shard, ep)
-			if !ok {
-				return controller.Mapping{}, fmt.Errorf("masq: no mapping for vGID %v in VNI %d", k.VGID, k.VNI)
-			}
-			b.cacheStore(k, m)
-			return m, nil
-		}
-		b.ctrlFail(shard)
-		if i >= attempts {
-			b.Stats.QueryFailures++
-			return controller.Mapping{}, fmt.Errorf("masq: resolving vGID %v in VNI %d (%d attempts): %w", k.VGID, k.VNI, i, err)
-		}
-		b.Stats.QueryRetries++
-		b.Rec.Add("controller.query_retries", 1)
-		p.Sleep(backoff)
-		backoff = nextBackoff(backoff, limit)
-	}
+	b.cacheStore(k, m)
+	return m, nil
 }
 
 // invalidate drops a cache entry (stale-mapping detection).
@@ -632,18 +634,29 @@ func (b *Backend) renewBond(p *simtime.Proc, k controller.Key, m controller.Mapp
 // controller shard — the edge-driven half of reconvergence: the union of
 // these renewals across all hosts rebuilds that shard's table.
 func (b *Backend) reassert(p *simtime.Proc, shard int) {
+	if _, done := b.renewShard(p, shard); !done {
+		// Down again: keep the flag so the next contact retries the whole
+		// pass (renewals are idempotent).
+		b.shards[shard].needReassert = true
+	}
+}
+
+// renewShard renews every live vBond owned by one controller shard,
+// stopping at the first failed renewal: the shard is down, and hammering
+// it only burns time. It reports whether any renewal got through and
+// whether the pass completed.
+func (b *Backend) renewShard(p *simtime.Proc, shard int) (contacted, done bool) {
 	for _, vb := range b.bonds {
 		k, m, ok := vb.Registration()
 		if !ok || b.Ctrl.Owner(k) != shard {
 			continue
 		}
 		if !b.renewBond(p, k, m) {
-			// Down again: keep the flag so the next contact retries the
-			// whole pass (renewals are idempotent).
-			b.shards[shard].needReassert = true
-			return
+			return contacted, false
 		}
+		contacted = true
 	}
+	return contacted, true
 }
 
 // resyncVNIs lists every VNI whose cache content this backend owes a
@@ -698,11 +711,7 @@ func (b *Backend) resync(p *simtime.Proc, shard int) {
 			}
 		}
 		for k, m := range dump {
-			if b.P.PushDown {
-				b.cacheStore(k, m)
-			} else if _, ok := b.cache[k]; ok {
-				b.cacheStore(k, m)
-			}
+			b.cacheRefresh(k, m)
 		}
 	}
 	b.Stats.Resyncs++
@@ -786,18 +795,7 @@ func (b *Backend) StartLeaseRenewal(until simtime.Time) {
 			}
 			p.Sleep(period)
 			for shard, cs := range b.shards {
-				contacted := false
-				for _, vb := range b.bonds {
-					k, m, ok := vb.Registration()
-					if !ok || b.Ctrl.Owner(k) != shard {
-						continue
-					}
-					if !b.renewBond(p, k, m) {
-						break // shard down: stop hammering it, try next round
-					}
-					contacted = true
-				}
-				if contacted && cs.sub.Seq() > cs.notifSeen && cs.sub.Pending() == 0 {
+				if contacted, _ := b.renewShard(p, shard); contacted && cs.sub.Seq() > cs.notifSeen && cs.sub.Pending() == 0 {
 					// Everything addressed to us should be delivered or
 					// still queued; an advanced seq over an empty queue
 					// means pushes were dropped in flight. Lease-driven
@@ -809,66 +807,6 @@ func (b *Backend) StartLeaseRenewal(until simtime.Time) {
 			}
 		}
 	})
-}
-
-// Command types crossing the virtio ring (frontend → backend).
-type (
-	cmdGetDevList struct{}
-	cmdOpenDev    struct{}
-	cmdCloseDev   struct{}
-	cmdAllocPD    struct{}
-	cmdDeallocPD  struct{ pd *rnic.PD }
-	cmdRegMR      struct {
-		sess   *session
-		pd     *rnic.PD
-		va     uint64
-		length int
-		gpaExt []mem.Extent
-		access rnic.Access
-	}
-	cmdDeregMR struct {
-		sess   *session
-		mr     *rnic.MR
-		gpaExt []mem.Extent
-	}
-	cmdCreateCQ struct {
-		sess *session
-		cqe  int
-	}
-	cmdDestroyCQ struct{ cq *rnic.CQ }
-	cmdCreateSRQ struct {
-		sess  *session
-		maxWR int
-	}
-	cmdDestroySRQ struct{ srq *rnic.SRQ }
-	cmdCreateQP   struct {
-		sess     *session
-		pd       *rnic.PD
-		scq, rcq *rnic.CQ
-		typ      rnic.QPType
-		caps     rnic.QPCaps
-	}
-	cmdDestroyQP struct {
-		sess *session
-		qp   *rnic.QP
-	}
-	cmdModifyQP struct {
-		sess *session
-		qp   *rnic.QP
-		attr verbs.Attr
-	}
-	cmdPostUD struct {
-		sess *session
-		qp   *rnic.QP
-		wr   rnic.SendWR
-		dgid packet.GID
-		dqpn uint32
-	}
-)
-
-type resp struct {
-	v   any
-	err error
 }
 
 // session is the backend's per-frontend state.
@@ -940,7 +878,7 @@ func (b *Backend) NewFrontend(vm *hyper.VM, vni uint32) (*Frontend, error) {
 		b.kickReconcile()
 	}
 
-	vbond := NewVBond(vni, vm.VNIC, b.Ctrl, b.physIdentity())
+	vbond := NewVBond(vni, vm.VNIC, b.Ctrl, b.HostMapping())
 	b.bonds = append(b.bonds, vbond)
 	sess := &session{vm: vm, vni: vni, vbond: vbond, fn: fn, owner: b,
 		subs:   make(map[*Backend]bool),
@@ -973,164 +911,23 @@ func (b *Backend) subscribeSession(sess *session) {
 
 // serveRing builds the frontend↔backend virtio ring and starts its service
 // loop on this backend.
-func (b *Backend) serveRing(vmName string) *virtio.Ring {
-	ring := virtio.NewRing(b.Host.Eng, b.VIO)
+func (b *Backend) serveRing(vmName string) *virtio.Ring[command, reply] {
+	ring := virtio.NewRing[command, reply](b.Host.Eng, b.VIO)
 	ring.Rec = b.Rec
-	ring.Serve("masq-backend:"+vmName, func(p *simtime.Proc, cmd any) any {
-		return b.handle(p, cmd)
-	})
+	ring.Serve("masq-backend:"+vmName, b.handle)
 	return ring
 }
 
-// cmdName labels a forwarded command for tracing.
-func cmdName(cmd any) string {
-	switch cmd.(type) {
-	case cmdGetDevList:
-		return "get_device_list"
-	case cmdOpenDev:
-		return "open_device"
-	case cmdCloseDev:
-		return "close_device"
-	case cmdAllocPD:
-		return "alloc_pd"
-	case cmdDeallocPD:
-		return "dealloc_pd"
-	case cmdRegMR:
-		return "reg_mr"
-	case cmdDeregMR:
-		return "dereg_mr"
-	case cmdCreateCQ:
-		return "create_cq"
-	case cmdDestroyCQ:
-		return "destroy_cq"
-	case cmdCreateSRQ:
-		return "create_srq"
-	case cmdDestroySRQ:
-		return "destroy_srq"
-	case cmdCreateQP:
-		return "create_qp"
-	case cmdDestroyQP:
-		return "destroy_qp"
-	case cmdModifyQP:
-		return "modify_qp"
-	case cmdPostUD:
-		return "post_ud"
-	}
-	return "unknown"
-}
-
-// handle executes one forwarded command on the host.
-func (b *Backend) handle(p *simtime.Proc, cmd any) any {
-	sp := b.Rec.Begin(p, trace.LayerMasqBackend, cmdName(cmd))
-	defer sp.End(p)
-	dev := b.Host.Dev
-	switch c := cmd.(type) {
-	case cmdGetDevList:
-		dev.GetDeviceList(p)
-		return resp{}
-	case cmdOpenDev:
-		dev.Open(p)
-		return resp{}
-	case cmdCloseDev:
-		dev.Close(p)
-		return resp{}
-	case cmdAllocPD:
-		return resp{v: dev.AllocPD(p, nil)}
-	case cmdDeallocPD:
-		dev.DeallocPD(p, c.pd)
-		return resp{}
-	case cmdRegMR:
-		// Finish the pinning walk: the frontend pinned GVA→GPA; the
-		// backend pins GPA→HVA→HPA and programs the MTT (Appendix B).
-		var hpa []mem.Extent
-		for _, e := range c.gpaExt {
-			sub, err := c.sess.vm.GPA.PinToPhys(e.Addr, e.Len)
-			if err != nil {
-				return resp{err: err}
-			}
-			hpa = append(hpa, sub...)
-		}
-		mr := dev.RegMR(p, c.sess.fn, c.pd, c.va, c.length, hpa, c.access)
-		c.sess.mrs = append(c.sess.mrs, sessMR{mr: mr, gpa: c.gpaExt})
-		return resp{v: mr}
-	case cmdDeregMR:
-		dev.DeregMR(p, nil, c.mr)
-		for i, r := range c.sess.mrs {
-			if r.mr == c.mr {
-				c.sess.mrs = append(c.sess.mrs[:i], c.sess.mrs[i+1:]...)
-				break
-			}
-		}
-		for _, e := range c.gpaExt {
-			if err := c.sess.vm.GPA.UnpinToPhys(e.Addr, e.Len); err != nil {
-				return resp{err: err}
-			}
-		}
-		return resp{}
-	case cmdCreateCQ:
-		if pool := b.pools[c.sess.vni]; pool != nil {
-			if cq := pool.takeCQ(c.cqe); cq != nil {
-				p.Sleep(b.P.PoolReuseCost)
-				b.Stats.PoolHits++
-				pool.noteTake(p.Now())
-				return resp{v: cq}
-			}
-			b.Stats.PoolMisses++
-		}
-		return resp{v: dev.CreateCQ(p, c.sess.fn, c.cqe)}
-	case cmdDestroyCQ:
-		dev.DestroyCQ(p, nil, c.cq)
-		return resp{}
-	case cmdCreateSRQ:
-		return resp{v: dev.CreateSRQ(p, c.sess.fn, c.maxWR)}
-	case cmdDestroySRQ:
-		dev.DestroySRQ(p, nil, c.srq)
-		return resp{}
-	case cmdCreateQP:
-		if pool := b.pools[c.sess.vni]; pool != nil && c.typ == rnic.RC {
-			if qp := pool.takeQP(); qp != nil {
-				p.Sleep(b.P.PoolReuseCost)
-				if err := qp.Rebind(c.pd, c.scq, c.rcq, c.caps); err != nil {
-					return resp{err: err}
-				}
-				b.Stats.PoolHits++
-				// The pooled QP is already in INIT with its source
-				// addressing latched; modifyQP skips the guest's INIT verb.
-				b.pooledInit[qp.Num] = true
-				b.qpOwner[qp.Num] = c.sess
-				c.sess.qps = append(c.sess.qps, qp)
-				pool.noteTake(p.Now())
-				return resp{v: qp}
-			}
-			b.Stats.PoolMisses++
-		}
-		qp := dev.CreateQP(p, c.sess.fn, c.pd, c.scq, c.rcq, c.typ, c.caps)
-		b.qpOwner[qp.Num] = c.sess
-		c.sess.qps = append(c.sess.qps, qp)
-		return resp{v: qp}
-	case cmdDestroyQP:
-		b.CT.Delete(p, c.qp.Num)
-		delete(b.qpOwner, c.qp.Num)
-		delete(b.pooledInit, c.qp.Num)
-		b.sharedDetach(c.qp.Num)
-		for i, qp := range c.sess.qps {
-			if qp == c.qp {
-				c.sess.qps = append(c.sess.qps[:i], c.sess.qps[i+1:]...)
-				break
-			}
-		}
-		dev.DestroyQP(p, c.qp)
-		return resp{}
-	case cmdModifyQP:
-		return resp{err: b.modifyQP(p, c)}
-	case cmdPostUD:
-		return resp{err: b.postUD(p, c)}
-	}
-	return resp{err: fmt.Errorf("masq: unknown backend command %T", cmd)}
+// validConn is valid_conn() for the connection c asks for: from the
+// session's vIP to the one in c.attr.DGID, on c's QP.
+func (b *Backend) validConn(p *simtime.Proc, c *command) (ConnID, error) {
+	dstIP, _ := c.attr.DGID.IP()
+	id := ConnID{VNI: c.sess.vni, SrcVIP: c.sess.vbond.VIP(), DstVIP: dstIP, QPN: c.qp.Num}
+	return id, b.CT.Validate(p, id)
 }
 
 // modifyQP is where RConnrename and RConntrack intercept the control path.
-func (b *Backend) modifyQP(p *simtime.Proc, c cmdModifyQP) error {
+func (b *Backend) modifyQP(p *simtime.Proc, c *command) error {
 	a := c.attr
 	attr := rnic.Attr{ToState: a.ToState, QKey: a.QKey}
 	if a.ToState == rnic.StateRTR && c.qp.Type == rnic.RC && (a.DQPN == 0 || a.DGID.IsZero()) {
@@ -1141,13 +938,12 @@ func (b *Backend) modifyQP(p *simtime.Proc, c cmdModifyQP) error {
 			c.qp.Num, a.DGID, a.DQPN)
 	}
 	if a.ToState == rnic.StateRTR && a.DQPN != 0 && !a.DGID.IsZero() {
-		dstIP, _ := a.DGID.IP()
-		id := ConnID{VNI: c.sess.vni, SrcVIP: c.sess.vbond.VIP(), DstVIP: dstIP, QPN: c.qp.Num}
-		if err := b.CT.Validate(p, id); err != nil {
+		id, err := b.validConn(p, c)
+		if err != nil {
 			return err
 		}
 		sp := b.Rec.Begin(p, trace.LayerRConnrename, "rename")
-		err := b.renameRTR(p, c, a, attr, id, dstIP)
+		err = b.renameRTR(p, c, attr, id)
 		sp.End(p)
 		return err
 	}
@@ -1170,7 +966,8 @@ func (b *Backend) modifyQP(p *simtime.Proc, c cmdModifyQP) error {
 
 // renameRTR resolves the virtual destination, handles stale mappings, and
 // programs the QPC with physical addressing — the RConnrename core.
-func (b *Backend) renameRTR(p *simtime.Proc, c cmdModifyQP, a verbs.Attr, attr rnic.Attr, id ConnID, dstIP packet.IP) error {
+func (b *Backend) renameRTR(p *simtime.Proc, c *command, attr rnic.Attr, id ConnID) error {
+	a, dstIP := c.attr, id.DstVIP
 	k := controller.Key{VNI: c.sess.vni, VGID: a.DGID}
 	m, graced, err := b.resolveGID(p, c.sess.vni, a.DGID)
 	if err != nil {
@@ -1233,10 +1030,7 @@ func (b *Backend) Crash(p *simtime.Proc, f *Frontend) {
 	b.Stats.Crashes++
 	dev := b.Host.Dev
 	for _, qp := range sess.qps {
-		b.CT.Delete(p, qp.Num)
-		delete(b.qpOwner, qp.Num)
-		delete(b.pooledInit, qp.Num)
-		b.sharedDetach(qp.Num)
+		b.dropQP(p, qp.Num)
 		dev.DestroyQP(p, qp)
 	}
 	sess.qps = nil
@@ -1258,17 +1052,15 @@ func (b *Backend) Crash(p *simtime.Proc, f *Frontend) {
 
 // postUD renames and posts a datagram WQE that the frontend routed through
 // the control path (Sec. 3.3.4).
-func (b *Backend) postUD(p *simtime.Proc, c cmdPostUD) error {
-	dstIP, _ := c.dgid.IP()
-	id := ConnID{VNI: c.sess.vni, SrcVIP: c.sess.vbond.VIP(), DstVIP: dstIP, QPN: c.qp.Num}
-	if err := b.CT.Validate(p, id); err != nil {
+func (b *Backend) postUD(p *simtime.Proc, c *command) error {
+	if _, err := b.validConn(p, c); err != nil {
 		return err
 	}
-	m, _, err := b.resolveGID(p, c.sess.vni, c.dgid)
+	m, _, err := b.resolveGID(p, c.sess.vni, c.attr.DGID)
 	if err != nil {
 		return err
 	}
 	wr := c.wr
-	wr.Remote = &rnic.AddressVector{DGID: m.PGID, DIP: m.PIP, DMAC: m.PMAC, DQPN: c.dqpn}
+	wr.Remote = &rnic.AddressVector{DGID: m.PGID, DIP: m.PIP, DMAC: m.PMAC, DQPN: c.attr.DQPN}
 	return c.qp.PostSend(p, wr)
 }

@@ -90,7 +90,16 @@ func (b *Backend) runBatch(p *simtime.Proc, keys []controller.Key) {
 		if len(ks) == 0 {
 			continue // renewals ride only on batches the host sends anyway
 		}
-		results, err := b.batchLookupWithRetry(p, shard, ks, shardRenew[shard])
+		var results []controller.BatchResult
+		n, err := b.withRetry(p, shard, func() (ep uint64, err error) {
+			results, ep, err = b.Ctrl.BatchLookupShard(p, shard, ks, shardRenew[shard])
+			return ep, err
+		})
+		if err == nil {
+			b.Stats.LeaseRenewals += uint64(len(shardRenew[shard]))
+		} else {
+			err = fmt.Errorf("masq: batch lookup of %d keys (%d attempts): %w", len(ks), n, err)
+		}
 		b.Stats.BatchRPCs++
 		b.Stats.BatchedLookups += uint64(len(ks))
 		if n := uint64(len(ks)); n > b.Stats.BatchMax {
@@ -111,32 +120,5 @@ func (b *Backend) runBatch(p *simtime.Proc, keys []controller.Key) {
 			}
 			ev.Trigger(out)
 		}
-	}
-}
-
-// batchLookupWithRetry is lookupWithRetry's shape applied to one shard's
-// batch RPC: same attempt budget, same clamped exponential backoff.
-func (b *Backend) batchLookupWithRetry(p *simtime.Proc, shard int, keys []controller.Key, renew []controller.RenewReq) ([]controller.BatchResult, error) {
-	attempts := b.P.QueryRetries
-	if attempts < 1 {
-		attempts = 1
-	}
-	backoff, limit := b.retryPlan()
-	for i := 1; ; i++ {
-		results, ep, err := b.Ctrl.BatchLookupShard(p, shard, keys, renew)
-		if err == nil {
-			b.ctrlOK(shard, ep)
-			b.Stats.LeaseRenewals += uint64(len(renew))
-			return results, nil
-		}
-		b.ctrlFail(shard)
-		if i >= attempts {
-			b.Stats.QueryFailures++
-			return nil, fmt.Errorf("masq: batch lookup of %d keys (%d attempts): %w", len(keys), i, err)
-		}
-		b.Stats.QueryRetries++
-		b.Rec.Add("controller.query_retries", 1)
-		p.Sleep(backoff)
-		backoff = nextBackoff(backoff, limit)
 	}
 }

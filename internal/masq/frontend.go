@@ -18,7 +18,7 @@ import (
 type Frontend struct {
 	b    *Backend
 	sess *session
-	ring *virtio.Ring
+	ring *virtio.Ring[command, reply]
 }
 
 // Name implements verbs.Provider.
@@ -27,22 +27,22 @@ func (f *Frontend) Name() string { return f.b.Mode.String() }
 // VBond exposes the device bond (inspection and tests).
 func (f *Frontend) VBond() *VBond { return f.sess.vbond }
 
-// call forwards one command and unwraps the response.
-func (f *Frontend) call(p *simtime.Proc, cmd any) (any, error) {
+// call forwards one command on behalf of the frontend's session.
+func (f *Frontend) call(p *simtime.Proc, c command) reply {
 	sp := f.b.Rec.Begin(p, trace.LayerMasqFrontend, "forward")
-	r := f.ring.Call(p, cmd).(resp)
+	c.sess = f.sess
+	r := f.ring.Call(p, c)
 	sp.End(p)
-	return r.v, r.err
+	return r
 }
 
 // Open implements verbs.Provider: both discovery verbs are forwarded
 // (Table 1 rows 1–2).
 func (f *Frontend) Open(p *simtime.Proc) (verbs.Device, error) {
-	if _, err := f.call(p, cmdGetDevList{}); err != nil {
-		return nil, err
-	}
-	if _, err := f.call(p, cmdOpenDev{}); err != nil {
-		return nil, err
+	for _, o := range [...]*op{opGetDevList, opOpenDev} {
+		if r := f.call(p, command{op: o}); r.err != nil {
+			return nil, r.err
+		}
 	}
 	return &fdevice{f: f}, nil
 }
@@ -60,11 +60,11 @@ func (x fpd) Handle() uint32 { return x.pd.Num }
 // the backend owns a real PD, adding one virtio round trip to a verb the
 // application calls once per lifetime.
 func (d *fdevice) AllocPD(p *simtime.Proc) (verbs.PD, error) {
-	v, err := d.f.call(p, cmdAllocPD{})
-	if err != nil {
-		return nil, err
+	r := d.f.call(p, command{op: opAllocPD})
+	if r.err != nil {
+		return nil, r.err
 	}
-	return fpd{v.(*rnic.PD)}, nil
+	return fpd{r.pd}, nil
 }
 
 type fmr struct {
@@ -81,8 +81,8 @@ func (m fmr) Addr() uint64 { return m.va }
 func (m fmr) Len() int     { return m.ln }
 
 func (m fmr) Dereg(p *simtime.Proc) error {
-	if _, err := m.d.f.call(p, cmdDeregMR{sess: m.d.f.sess, mr: m.mr, gpaExt: m.gpa}); err != nil {
-		return err
+	if r := m.d.f.call(p, command{op: opDeregMR, mr: m.mr, ext: m.gpa}); r.err != nil {
+		return r.err
 	}
 	return m.d.f.sess.vm.GVA.Unpin(m.va, m.ln)
 }
@@ -98,13 +98,11 @@ func (d *fdevice) RegMR(p *simtime.Proc, vpd verbs.PD, va uint64, length int, ac
 	if err != nil {
 		return nil, err
 	}
-	v, err := d.f.call(p, cmdRegMR{
-		sess: d.f.sess, pd: rpd.pd, va: va, length: length, gpaExt: gpa, access: access,
-	})
-	if err != nil {
-		return nil, err
+	r := d.f.call(p, command{op: opRegMR, pd: rpd.pd, va: va, n: length, ext: gpa, access: access})
+	if r.err != nil {
+		return nil, r.err
 	}
-	return fmr{d: d, mr: v.(*rnic.MR), va: va, ln: length, gpa: gpa}, nil
+	return fmr{d: d, mr: r.mr, va: va, ln: length, gpa: gpa}, nil
 }
 
 type fcq struct {
@@ -119,8 +117,7 @@ func (c fcq) WaitTimeout(p *simtime.Proc, t simtime.Duration) (verbs.WC, bool) {
 	return c.cq.WaitTimeout(p, t)
 }
 func (c fcq) Destroy(p *simtime.Proc) error {
-	_, err := c.d.f.call(p, cmdDestroyCQ{cq: c.cq})
-	return err
+	return c.d.f.call(p, command{op: opDestroyCQ, cq: c.cq}).err
 }
 
 // The mapped CQ ring also supports the callback-style capability
@@ -130,11 +127,11 @@ func (c fcq) TryGet() (verbs.WC, bool)     { return c.cq.TryGet() }
 func (c fcq) PollCost() simtime.Duration   { return c.cq.PollCost() }
 
 func (d *fdevice) CreateCQ(p *simtime.Proc, cqe int) (verbs.CQ, error) {
-	v, err := d.f.call(p, cmdCreateCQ{sess: d.f.sess, cqe: cqe})
-	if err != nil {
-		return nil, err
+	r := d.f.call(p, command{op: opCreateCQ, n: cqe})
+	if r.err != nil {
+		return nil, r.err
 	}
-	return fcq{d: d, cq: v.(*rnic.CQ)}, nil
+	return fcq{d: d, cq: r.cq}, nil
 }
 
 type fqp struct {
@@ -148,8 +145,7 @@ func (q fqp) State() verbs.State { return q.qp.State() }
 // Modify forwards through the backend, where RConnrename rewrites the
 // destination addressing and RConntrack enforces security rules.
 func (q fqp) Modify(p *simtime.Proc, a verbs.Attr) error {
-	_, err := q.d.f.call(p, cmdModifyQP{sess: q.d.f.sess, qp: q.qp, attr: a})
-	return err
+	return q.d.f.call(p, command{op: opModifyQP, qp: q.qp, attr: a}).err
 }
 
 // PostSend is the data path: zero-copy, directly to the mapped queues.
@@ -158,18 +154,15 @@ func (q fqp) Modify(p *simtime.Proc, a verbs.Attr) error {
 // the address (Sec. 3.3.4).
 func (q fqp) PostSend(p *simtime.Proc, wr verbs.SendWR) error {
 	if q.qp.Type == rnic.UD && wr.Remote != nil {
-		dgid, dqpn := wr.Remote.DGID, wr.Remote.DQPN
+		dst := verbs.Attr{DGID: wr.Remote.DGID, DQPN: wr.Remote.DQPN}
 		wr.Remote = nil
-		_, err := q.d.f.call(p, cmdPostUD{sess: q.d.f.sess, qp: q.qp, wr: wr, dgid: dgid, dqpn: dqpn})
-		return err
+		return q.d.f.call(p, command{op: opPostUD, qp: q.qp, wr: wr, attr: dst}).err
 	}
 	return q.qp.PostSend(p, wr)
 }
 
 // PostRecv is pure data path.
-func (q fqp) PostRecv(p *simtime.Proc, wr verbs.RecvWR) error {
-	return q.qp.PostRecv(p, wr)
-}
+func (q fqp) PostRecv(p *simtime.Proc, wr verbs.RecvWR) error { return q.qp.PostRecv(p, wr) }
 
 // Callback-style posting (verbs.AsyncQP) covers the zero-copy data path
 // only; a UD WR that names a virtual destination must go through the
@@ -183,8 +176,7 @@ func (q fqp) PostSendAsync(wr verbs.SendWR) error {
 }
 
 func (q fqp) Destroy(p *simtime.Proc) error {
-	_, err := q.d.f.call(p, cmdDestroyQP{sess: q.d.f.sess, qp: q.qp})
-	return err
+	return q.d.f.call(p, command{op: opDestroyQP, qp: q.qp}).err
 }
 
 func (d *fdevice) CreateQP(p *simtime.Proc, vpd verbs.PD, send, recv verbs.CQ, typ verbs.QPType, caps verbs.QPCaps) (verbs.QP, error) {
@@ -197,13 +189,11 @@ func (d *fdevice) CreateQP(p *simtime.Proc, vpd verbs.PD, send, recv verbs.CQ, t
 	if !ok1 || !ok2 {
 		return nil, fmt.Errorf("masq: foreign CQ handle")
 	}
-	v, err := d.f.call(p, cmdCreateQP{
-		sess: d.f.sess, pd: rpd.pd, scq: scq.cq, rcq: rcq.cq, typ: typ, caps: caps,
-	})
-	if err != nil {
-		return nil, err
+	r := d.f.call(p, command{op: opCreateQP, pd: rpd.pd, cq: scq.cq, rcq: rcq.cq, typ: typ, caps: caps})
+	if r.err != nil {
+		return nil, r.err
 	}
-	return fqp{d: d, qp: v.(*rnic.QP)}, nil
+	return fqp{d: d, qp: r.qp}, nil
 }
 
 type fsrq struct {
@@ -216,33 +206,28 @@ func (x fsrq) PostRecv(p *simtime.Proc, wr verbs.RecvWR) error { return x.s.Post
 func (x fsrq) Len() int                                        { return x.s.Len() }
 func (x fsrq) Raw() *rnic.SRQ                                  { return x.s }
 func (x fsrq) Destroy(p *simtime.Proc) error {
-	_, err := x.d.f.call(p, cmdDestroySRQ{srq: x.s})
-	return err
+	return x.d.f.call(p, command{op: opDestroySRQ, srq: x.s}).err
 }
 
 // CreateSRQ is a control-path verb: forwarded to the backend.
 func (d *fdevice) CreateSRQ(p *simtime.Proc, maxWR int) (verbs.SRQ, error) {
-	v, err := d.f.call(p, cmdCreateSRQ{sess: d.f.sess, maxWR: maxWR})
-	if err != nil {
-		return nil, err
+	r := d.f.call(p, command{op: opCreateSRQ, n: maxWR})
+	if r.err != nil {
+		return nil, r.err
 	}
-	return fsrq{d: d, s: v.(*rnic.SRQ)}, nil
+	return fsrq{d: d, s: r.srq}, nil
 }
 
 // Async events (verbs.AsyncDevice): the backend injects device events into
 // the session's event queue after the interrupt latency; reading them is a
 // local dequeue, like ibv_get_async_event on the mapped event channel.
-func (d *fdevice) GetAsyncEvent(p *simtime.Proc) verbs.AsyncEvent {
-	return d.f.sess.events.Get(p)
-}
+func (d *fdevice) GetAsyncEvent(p *simtime.Proc) verbs.AsyncEvent { return d.f.sess.events.Get(p) }
 
 func (d *fdevice) GetAsyncEventTimeout(p *simtime.Proc, t simtime.Duration) (verbs.AsyncEvent, bool) {
 	return d.f.sess.events.GetTimeout(p, t)
 }
 
-func (d *fdevice) TryAsyncEvent() (verbs.AsyncEvent, bool) {
-	return d.f.sess.events.TryGet()
-}
+func (d *fdevice) TryAsyncEvent() (verbs.AsyncEvent, bool) { return d.f.sess.events.TryGet() }
 
 // QueryGID is answered locally by vBond (pure software, not forwarded);
 // the host-verb cost still applies in the guest library.
@@ -255,7 +240,4 @@ func (d *fdevice) QueryGID(p *simtime.Proc) (packet.GID, error) {
 	return g, nil
 }
 
-func (d *fdevice) Close(p *simtime.Proc) error {
-	_, err := d.f.call(p, cmdCloseDev{})
-	return err
-}
+func (d *fdevice) Close(p *simtime.Proc) error { return d.f.call(p, command{op: opCloseDev}).err }

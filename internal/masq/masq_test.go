@@ -50,7 +50,7 @@ func TestVBondRegistersOnCreation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vb := NewVBond(100, vm.VNIC, b.be.Ctrl, b.be.physIdentity())
+	vb := NewVBond(100, vm.VNIC, b.be.Ctrl, b.be.HostMapping())
 	if ip, _ := vb.GID().IP(); ip != packet.NewIP(192, 168, 1, 1) {
 		t.Fatalf("vGID embeds %v", ip)
 	}
@@ -68,7 +68,7 @@ func TestVBondRegistersOnCreation(t *testing.T) {
 func TestVBondTracksIPChange(t *testing.T) {
 	b := newBed(t, ModeVF)
 	vm, _ := b.host.NewVM("vm0", 1<<30, 100, packet.NewIP(192, 168, 1, 1))
-	vb := NewVBond(100, vm.VNIC, b.be.Ctrl, b.be.physIdentity())
+	vb := NewVBond(100, vm.VNIC, b.be.Ctrl, b.be.HostMapping())
 	oldGID := vb.GID()
 	if err := vm.VNIC.SetIP(packet.NewIP(192, 168, 1, 42)); err != nil {
 		t.Fatal(err)

@@ -111,11 +111,7 @@ func (b *Backend) migrSuspend(k controller.Key) {
 // (rollback: no QPN translations), and resume them with PSN replay.
 func (b *Backend) migrMoved(n controller.Notify) {
 	k := n.Key
-	if b.P.PushDown {
-		b.cacheStore(k, n.Mapping)
-	} else if _, ok := b.cache[k]; ok {
-		b.cacheStore(k, n.Mapping)
-	}
+	b.cacheRefresh(k, n.Mapping)
 	var suspended []*rnic.QP
 	if set := b.migrSusp[k]; set != nil {
 		suspended = set.qps
@@ -224,7 +220,7 @@ func (b *Backend) MigrateOut(p *simtime.Proc, f *Frontend) (*MigrCapture, error)
 	}
 	cap := &MigrCapture{
 		Key:        controller.Key{VNI: sess.vni, VGID: sess.vbond.GID()},
-		OldMapping: b.physIdentity(),
+		OldMapping: b.HostMapping(),
 		f:          f,
 		src:        b,
 		oldBond:    sess.vbond,
@@ -245,9 +241,7 @@ func (b *Backend) MigrateOut(p *simtime.Proc, f *Frontend) (*MigrCapture, error)
 		for _, id := range ids {
 			cap.conns = append(cap.conns, capConn{id: id, qp: qp})
 		}
-		b.CT.Delete(p, qp.Num)
-		delete(b.qpOwner, qp.Num)
-		delete(b.pooledInit, qp.Num)
+		b.dropQP(p, qp.Num)
 		dev.DetachQP(qp)
 	}
 	cap.cqs, cap.pds = sessionCQsPDs(sess)
@@ -384,7 +378,7 @@ func (b *Backend) MigrateIn(p *simtime.Proc, cap *MigrCapture, rollback bool) er
 		// The successor bond is built deferred: the controller Move RPC
 		// publishes (VNI, vGID) → this host atomically with the QPN
 		// translations, so construction must not register anything.
-		cap.newBond = NewVBondDeferred(sess.vni, sess.vm.VNIC, b.Ctrl, b.physIdentity())
+		cap.newBond = NewVBondDeferred(sess.vni, sess.vm.VNIC, b.Ctrl, b.HostMapping())
 	}
 	b.subscribeSession(sess)
 	b.Stats.MigrIn++
@@ -402,9 +396,7 @@ func (b *Backend) Evict(p *simtime.Proc, cap *MigrCapture) {
 	dev := b.Host.Dev
 	for _, c := range cap.qps {
 		p.Sleep(b.P.MigrQPCost)
-		b.CT.Delete(p, c.qp.Num)
-		delete(b.qpOwner, c.qp.Num)
-		delete(b.pooledInit, c.qp.Num)
+		b.dropQP(p, c.qp.Num)
 		dev.DetachQP(c.qp)
 	}
 	for _, r := range cap.mrs {
@@ -438,12 +430,7 @@ func (cap *MigrCapture) Commit(p *simtime.Proc) {
 	sess.owner = dst
 	cap.newBond.activate()
 	dst.bonds = append(dst.bonds, cap.newBond)
-	for i, vb := range cap.src.bonds {
-		if vb == cap.oldBond {
-			cap.src.bonds = append(cap.src.bonds[:i], cap.src.bonds[i+1:]...)
-			break
-		}
-	}
+	cap.src.bonds = without(cap.src.bonds, cap.oldBond)
 	if dst != cap.src {
 		cap.f.ring = dst.serveRing(sess.vm.Name)
 		cap.f.b = dst
@@ -481,11 +468,6 @@ func (b *Backend) tenantFn(vni uint32) *rnic.Func {
 	return b.tenants[vni]
 }
 
-// HostMapping is this backend's physical identity — what its vBonds
-// register and what a migration rollback republishes to resume suspended
-// peers.
-func (b *Backend) HostMapping() controller.Mapping { return b.physIdentity() }
-
 // RetireFrontend ends a frontend's tenancy on this backend after an
 // application-assisted migration (Testbed.MigrateNode): the session goes
 // dead, the destroyed QPs' shared-connection memberships are dropped, the
@@ -501,12 +483,7 @@ func (b *Backend) RetireFrontend(f *Frontend) {
 	for _, qp := range sess.qps {
 		b.sharedDetach(qp.Num)
 	}
-	for i, vb := range b.bonds {
-		if vb == sess.vbond {
-			b.bonds = append(b.bonds[:i], b.bonds[i+1:]...)
-			break
-		}
-	}
+	b.bonds = without(b.bonds, sess.vbond)
 	if pool := b.pools[sess.vni]; pool != nil {
 		b.Host.Eng.Spawn("masq.migrate-retire", func(p *simtime.Proc) {
 			b.flushPool(p, pool)

@@ -43,26 +43,24 @@ type qpPool struct {
 
 // takeCQ pops a pooled CQ if one fits the requested capacity.
 func (pool *qpPool) takeCQ(cqe int) *rnic.CQ {
-	if cqe > poolCQCap || len(pool.freeCQ) == 0 {
+	if cqe > poolCQCap {
 		return nil
 	}
-	n := len(pool.freeCQ) - 1
-	cq := pool.freeCQ[n]
-	pool.freeCQ[n] = nil
-	pool.freeCQ = pool.freeCQ[:n]
-	return cq
+	return pop(&pool.freeCQ)
 }
 
 // takeQP pops a pooled QP (already in INIT on the tenant's function).
-func (pool *qpPool) takeQP() *rnic.QP {
-	if len(pool.freeQP) == 0 {
+func (pool *qpPool) takeQP() *rnic.QP { return pop(&pool.freeQP) }
+
+// pop removes and returns the last element of *s, or nil when it is empty.
+func pop[T any](s *[]*T) *T {
+	n := len(*s) - 1
+	if n < 0 {
 		return nil
 	}
-	n := len(pool.freeQP) - 1
-	qp := pool.freeQP[n]
-	pool.freeQP[n] = nil
-	pool.freeQP = pool.freeQP[:n]
-	return qp
+	x := (*s)[n]
+	(*s)[n], *s = nil, (*s)[:n]
+	return x
 }
 
 // noteTake stamps a pooled take (arming the refiller's idle gate) and wakes

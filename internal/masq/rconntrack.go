@@ -130,25 +130,22 @@ func (ct *RConntrack) Validate(p *simtime.Proc, id ConnID) error {
 	defer sp.End(p)
 	ct.Stats.Validated++
 	t := ct.tenant[id.VNI]
-	if t == nil {
+	allow := false
+	switch v, hit := ct.verdicts[id]; {
+	case t == nil:
 		p.Sleep(ct.p.ValidConnCost)
-		ct.Stats.Denied++
-		return fmt.Errorf("masq: connection %v denied by security rules", id)
-	}
-	ver := t.RuleVersion()
-	if v, ok := ct.verdicts[id]; ok && v.version == ver {
+	case hit && v.version == t.RuleVersion():
 		ct.Stats.VerdictHits++
 		p.Sleep(ct.p.VerdictCacheCost)
-		if !v.allow {
-			ct.Stats.Denied++
-			return fmt.Errorf("masq: connection %v denied by security rules", id)
-		}
-		return nil
+		allow = v.allow
+	default:
+		ct.Stats.VerdictMisses++
+		ver := t.RuleVersion()
+		var units int
+		allow, units = t.AllowsCost(overlay.ProtoRDMA, id.SrcVIP, id.DstVIP)
+		p.Sleep(ct.p.ValidConnCost + simtime.Duration(extraUnits(units))*ct.p.RuleEvalCost)
+		ct.verdicts[id] = verdict{version: ver, allow: allow}
 	}
-	ct.Stats.VerdictMisses++
-	allow, units := t.AllowsCost(overlay.ProtoRDMA, id.SrcVIP, id.DstVIP)
-	p.Sleep(ct.p.ValidConnCost + simtime.Duration(extraUnits(units))*ct.p.RuleEvalCost)
-	ct.verdicts[id] = verdict{version: ver, allow: allow}
 	if !allow {
 		ct.Stats.Denied++
 		return fmt.Errorf("masq: connection %v denied by security rules", id)
@@ -260,14 +257,20 @@ func (ct *RConntrack) ResetConn(p *simtime.Proc, id ConnID) bool {
 		return false
 	}
 	if c.qp.State() != rnic.StateError {
-		sp := ct.rec.Begin(p, trace.LayerRConntrack, "reset_conn")
-		if err := ct.dev.ModifyQP(p, c.qp, rnic.Attr{ToState: rnic.StateError}); err == nil {
-			ct.Stats.Resets++
-		}
-		sp.End(p)
+		ct.reset(p, c.qp)
 	}
 	ct.remove(id)
 	return true
+}
+
+// reset is reset_conn(): the dominant cost is the RNIC's modify_qp(ERR)
+// (Fig. 18); it flushes outstanding work and stops the flow.
+func (ct *RConntrack) reset(p *simtime.Proc, qp *rnic.QP) {
+	sp := ct.rec.Begin(p, trace.LayerRConntrack, "reset_conn")
+	if err := ct.dev.ModifyQP(p, qp, rnic.Attr{ToState: rnic.StateError}); err == nil {
+		ct.Stats.Resets++
+	}
+	sp.End(p)
 }
 
 // rulesChanged runs on every policy update. Enforcement is serialized
@@ -281,7 +284,8 @@ func (ct *RConntrack) rulesChanged(t *overlay.Tenant, ch overlay.RuleChange) {
 		ct.enforceQ = simtime.NewQueue[enforceJob](ct.dev.Engine())
 		ct.dev.Engine().Spawn("rconntrack.enforce", func(p *simtime.Proc) {
 			for {
-				ct.enforce(p, ct.enforceQ.Get(p))
+				// insert_rule(): update the local chain, then enforce.
+				ct.enforce(p, ct.enforceQ.GetThenSleep(p, ct.p.InsertRuleCost))
 			}
 		})
 	}
@@ -306,9 +310,10 @@ func revocable(ch overlay.RuleChange) bool {
 	return ch.Rule.Action == overlay.Allow
 }
 
-// enforce applies one queued rule-chain update: pay the maintenance cost,
-// then re-validate the RCT entries the change can affect against the
-// policy's CURRENT state and reset every connection it no longer allows.
+// enforce applies one queued rule-chain update, whose maintenance cost the
+// caller has paid: re-validate the RCT entries the change can affect
+// against the policy's CURRENT state and reset every connection it no
+// longer allows.
 // Scanning at enforcement time (not at notification time) means a revoke
 // that was re-allowed before its update reached the chain resets nothing.
 //
@@ -321,7 +326,6 @@ func revocable(ch overlay.RuleChange) bool {
 // engine's work units — walking the pair index itself is free at this
 // granularity.
 func (ct *RConntrack) enforce(p *simtime.Proc, job enforceJob) {
-	p.Sleep(ct.p.InsertRuleCost) // insert_rule(): update the local chain
 	t, ch := job.t, job.ch
 
 	var cands []*trackedConn
@@ -362,17 +366,9 @@ func (ct *RConntrack) enforce(p *simtime.Proc, job enforceJob) {
 		if allow {
 			continue
 		}
-		if c.qp.State() == rnic.StateError {
-			ct.remove(c.id)
-			continue
+		if c.qp.State() != rnic.StateError {
+			ct.reset(p, c.qp)
 		}
-		// reset_conn(): the dominant cost is the RNIC's modify_qp(ERR)
-		// (Fig. 18); it flushes outstanding work and stops the flow.
-		sp := ct.rec.Begin(p, trace.LayerRConntrack, "reset_conn")
-		if err := ct.dev.ModifyQP(p, c.qp, rnic.Attr{ToState: rnic.StateError}); err == nil {
-			ct.Stats.Resets++
-		}
-		sp.End(p)
 		ct.remove(c.id)
 	}
 }

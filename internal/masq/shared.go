@@ -1,6 +1,8 @@
 package masq
 
 import (
+	"slices"
+
 	"masq/internal/controller"
 	"masq/internal/packet"
 	"masq/internal/rnic"
@@ -104,4 +106,14 @@ func (b *Backend) flushSharedConns() {
 	b.shared = make(map[sharedKey]*sharedConn)
 	b.sharedFlows = make(map[uint32]sharedFlow)
 	b.Stats.SharedFlushes++
+}
+
+// without removes the first element equal to x from s, keeping order. It
+// shifts in place without clearing the vacated tail, so a loop still
+// ranging over the old slice sees a duplicate, never a nil.
+func without[T comparable](s []T, x T) []T {
+	if i := slices.Index(s, x); i >= 0 {
+		return append(s[:i], s[i+1:]...)
+	}
+	return s
 }

@@ -26,12 +26,11 @@ type VBond struct {
 // initialized immediately, and a callback is hooked onto the notification
 // chain for future changes.
 func NewVBond(vni uint32, vnic *overlay.VMPort, ctrl controller.Service, phys controller.Mapping) *VBond {
-	b := &VBond{vni: vni, vnic: vnic, ctrl: ctrl, phys: phys}
-	if ip := vnic.EP.VIP; !ip.IsZero() {
-		b.vgid = packet.GIDFromIP(ip)
+	b := NewVBondDeferred(vni, vnic, ctrl, phys)
+	b.activate()
+	if !b.vgid.IsZero() {
 		ctrl.Register(controller.Key{VNI: vni, VGID: b.vgid}, phys)
 	}
-	vnic.OnIPChange(b.ipChanged)
 	return b
 }
 

@@ -227,6 +227,9 @@ func (s *AddrSpace) TranslateRange(va uint64, size int) ([]Extent, error) {
 // remapping, and returns the parent-space extents (what a driver would feed
 // into an MTT).
 func (s *AddrSpace) Pin(va uint64, size int) ([]Extent, error) {
+	if size <= 0 {
+		return nil, fmt.Errorf("%w: %s pin of %d bytes", ErrBadAddress, s.name, size)
+	}
 	ext, err := s.TranslateRange(va, size)
 	if err != nil {
 		return nil, err
@@ -283,6 +286,9 @@ func (s *AddrSpace) UnpinToPhys(va uint64, size int) error {
 
 // Unpin decrements pin counts for [va, va+size).
 func (s *AddrSpace) Unpin(va uint64, size int) error {
+	if size <= 0 {
+		return fmt.Errorf("%w: %s unpin of %d bytes", ErrBadAddress, s.name, size)
+	}
 	for p := va / PageSize; p <= (va+uint64(size)-1)/PageSize; p++ {
 		e, ok := s.pt[p]
 		if !ok {

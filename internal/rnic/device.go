@@ -47,6 +47,7 @@ type Device struct {
 	mrs  map[uint32]*MR
 	cqs  map[uint32]*CQ
 	pds  map[uint32]*PD
+	srqs map[uint32]*SRQ
 
 	nextQPN, nextKey, nextCQ, nextPD uint32
 
@@ -229,6 +230,7 @@ func NewDevice(eng *simtime.Engine, name string, p Params, hostMem mem.Memory) *
 		mrs:      make(map[uint32]*MR),
 		cqs:      make(map[uint32]*CQ),
 		pds:      make(map[uint32]*PD),
+		srqs:     make(map[uint32]*SRQ),
 		nextQPN:  1,
 		nextKey:  p.KeyBase + 1,
 		nextCQ:   1,
@@ -354,15 +356,22 @@ func (d *Device) pollCost() simtime.Duration { return d.P.VerbCost[VerbPollCQ] }
 // multiplier, and extra (e.g. per-page pinning) is added on top.
 func (d *Device) exec(p *simtime.Proc, v Verb, f *Func, extra simtime.Duration) {
 	sp := d.rec.Begin(p, trace.LayerRNIC, v.String())
-	d.firmware.Acquire(p)
 	cost := d.P.VerbCost[v]
 	if f != nil && f.IsVF() {
 		cost = simtime.Duration(float64(cost) * d.P.VFControlFactor)
 	}
-	p.Sleep(cost + extra)
-	d.firmware.Release()
+	d.firmware.Use(p, cost+extra)
 	sp.End(p)
 }
+
+// HasPD, HasMR, HasCQ, HasSRQ and HasQP report whether a handle names a
+// live object of this device, by identity rather than number, so a driver
+// can refuse a nil, stale or foreign handle before charging firmware time.
+func (d *Device) HasPD(pd *PD) bool  { return pd != nil && d.pds[pd.Num] == pd }
+func (d *Device) HasMR(mr *MR) bool  { return mr != nil && d.mrs[mr.LKey] == mr }
+func (d *Device) HasCQ(cq *CQ) bool  { return cq != nil && d.cqs[cq.Num] == cq }
+func (d *Device) HasSRQ(s *SRQ) bool { return s != nil && d.srqs[s.Num] == s }
+func (d *Device) HasQP(qp *QP) bool  { return qp != nil && d.qpLookup(qp.Num) == qp }
 
 // VerbCost exposes the PF-side cost of a verb (for harness reporting).
 func (d *Device) VerbCost(v Verb) simtime.Duration { return d.P.VerbCost[v] }
@@ -487,6 +496,7 @@ func (d *Device) CreateSRQ(p *simtime.Proc, f *Func, maxWR int) *SRQ {
 	d.exec(p, VerbCreateSRQ, f, 0)
 	s := &SRQ{Num: d.nextCQ, MaxWR: maxWR, dev: d}
 	d.nextCQ++
+	d.srqs[s.Num] = s
 	return s
 }
 
@@ -494,6 +504,7 @@ func (d *Device) CreateSRQ(p *simtime.Proc, f *Func, maxWR int) *SRQ {
 func (d *Device) DestroySRQ(p *simtime.Proc, f *Func, s *SRQ) {
 	d.exec(p, VerbDestroySRQ, f, 0)
 	s.rq = nil
+	delete(d.srqs, s.Num)
 }
 
 // PostRecv models ibv_post_srq_recv.

@@ -30,6 +30,12 @@ type Proc struct {
 	// resume closure) makes Sleep and every queue/event/resource wakeup
 	// allocation-free in steady state.
 	wakeEv event
+	// sleepNext is the proc's one post-wake step: when set, the next wake
+	// re-parks the proc for sleepFor instead of resuming it. It is how a
+	// blocking call fuses a trailing Sleep (Queue.GetThenSleep,
+	// Resource.Use) without a coroutine switch in between; see resume.
+	sleepNext bool
+	sleepFor  Duration
 }
 
 // errStopped unwinds a parked proc's stack when Engine.Close stops it.
@@ -62,8 +68,26 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// resume runs p until it blocks again or finishes.
-func (p *Proc) resume() { p.next() }
+// resume runs p until it blocks again or finishes. A pending post-wake
+// step instead reschedules the proc's own wake event d later: that draws,
+// at the same instant, the very seq the proc's first Sleep(d) after waking
+// would have drawn, so the schedule is the one the unfused call makes. The
+// event still counts in dispatch; only the coroutine switch is saved.
+func (p *Proc) resume() {
+	if p.sleepNext {
+		p.sleepNext = false
+		p.eng.wake(p, p.eng.now.Add(p.sleepFor))
+		return
+	}
+	p.next()
+}
+
+// blockThenSleep parks p like block and, once woken, keeps it parked for d
+// more (Sleep(d), so a zero d still yields once) before it continues.
+func (p *Proc) blockThenSleep(d Duration) {
+	p.sleepNext, p.sleepFor = true, d
+	p.block()
+}
 
 // exit is the proc's root defer. It retires the proc and swallows the
 // Close sentinel; any other panic is re-raised with the proc's name and

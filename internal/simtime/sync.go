@@ -267,6 +267,24 @@ func (q *Queue[T]) Get(p *Proc) T {
 	return v
 }
 
+// GetThenSleep is Get followed by Sleep(d), fused: when the call has to
+// park, the wake that hands it the item re-parks the proc for d without
+// resuming it in between (see Proc.resume). Event order, event count and
+// timing equal the two calls made in sequence; the item is returned d
+// after it was handed over.
+func (q *Queue[T]) GetThenSleep(p *Proc, d Duration) T {
+	if v, ok := q.popItem(); ok {
+		p.Sleep(d)
+		return v
+	}
+	w := q.pool.get(p)
+	q.pushWaiter(w)
+	p.blockThenSleep(d)
+	v := w.val
+	q.pool.put(w)
+	return v
+}
+
 // TryGet removes and returns the head item without blocking.
 func (q *Queue[T]) TryGet() (v T, ok bool) {
 	return q.popItem()
@@ -361,6 +379,21 @@ func (r *Resource) Acquire(p *Proc) {
 	r.waiters = append(r.waiters, p)
 	p.block()
 	// Whoever released on our behalf already counted us in.
+}
+
+// Use holds one unit of capacity for d: Acquire, Sleep(d), Release, fused
+// so that a waiter handed the unit by Release starts its d without a
+// coroutine switch (see Proc.resume). Event order, event count and timing
+// equal the three calls made in sequence.
+func (r *Resource) Use(p *Proc, d Duration) {
+	if r.inUse < r.capacity {
+		r.inUse++
+		p.Sleep(d)
+	} else {
+		r.waiters = append(r.waiters, p)
+		p.blockThenSleep(d)
+	}
+	r.Release()
 }
 
 // Release returns a unit of capacity, waking the longest waiter if any.

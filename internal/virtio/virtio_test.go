@@ -8,12 +8,12 @@ import (
 
 func TestCallRoundTripCost(t *testing.T) {
 	eng := simtime.NewEngine()
-	ring := NewRing(eng, DefaultParams())
-	ring.Serve("backend", func(p *simtime.Proc, cmd any) any {
-		return cmd.(int) * 2
+	ring := NewRing[int, int](eng, DefaultParams())
+	ring.Serve("backend", func(p *simtime.Proc, cmd *int) int {
+		return *cmd * 2
 	})
 	var elapsed simtime.Duration
-	var resp any
+	var resp int
 	eng.Spawn("guest", func(p *simtime.Proc) {
 		start := p.Now()
 		resp = ring.Call(p, 21)
@@ -30,15 +30,15 @@ func TestCallRoundTripCost(t *testing.T) {
 
 func TestHandlerWorkAddsToRTT(t *testing.T) {
 	eng := simtime.NewEngine()
-	ring := NewRing(eng, DefaultParams())
-	ring.Serve("backend", func(p *simtime.Proc, cmd any) any {
+	ring := NewRing[int, int](eng, DefaultParams())
+	ring.Serve("backend", func(p *simtime.Proc, cmd *int) int {
 		p.Sleep(simtime.Us(100)) // device work
-		return nil
+		return 0
 	})
 	var elapsed simtime.Duration
 	eng.Spawn("guest", func(p *simtime.Proc) {
 		start := p.Now()
-		ring.Call(p, nil)
+		ring.Call(p, 0)
 		elapsed = p.Now().Sub(start)
 	})
 	eng.Run()
@@ -49,11 +49,11 @@ func TestHandlerWorkAddsToRTT(t *testing.T) {
 
 func TestCallsAreSerializedFIFO(t *testing.T) {
 	eng := simtime.NewEngine()
-	ring := NewRing(eng, DefaultParams())
+	ring := NewRing[int, int](eng, DefaultParams())
 	var order []int
-	ring.Serve("backend", func(p *simtime.Proc, cmd any) any {
-		order = append(order, cmd.(int))
-		return nil
+	ring.Serve("backend", func(p *simtime.Proc, cmd *int) int {
+		order = append(order, *cmd)
+		return 0
 	})
 	for i := 0; i < 3; i++ {
 		i := i
@@ -76,15 +76,15 @@ func TestCallsAreSerializedFIFO(t *testing.T) {
 func TestBatchSharesKickAndIRQ(t *testing.T) {
 	eng := simtime.NewEngine()
 	pr := DefaultParams()
-	ring := NewRing(eng, pr)
-	ring.Serve("backend", func(p *simtime.Proc, cmd any) any {
+	ring := NewRing[int, int](eng, pr)
+	ring.Serve("backend", func(p *simtime.Proc, cmd *int) int {
 		p.Sleep(simtime.Us(10))
-		return cmd
+		return *cmd
 	})
 	var batched, serial simtime.Duration
 	eng.Spawn("guest", func(p *simtime.Proc) {
 		start := p.Now()
-		resp := ring.CallBatch(p, []any{1, 2, 3, 4})
+		resp := ring.CallBatch(p, []int{1, 2, 3, 4})
 		batched = p.Now().Sub(start)
 		if len(resp) != 4 || resp[3] != 4 {
 			t.Errorf("batch resp = %v", resp)
