@@ -39,10 +39,11 @@ func (f *Frontend) call(p *simtime.Proc, c command) reply {
 // Open implements verbs.Provider: both discovery verbs are forwarded
 // (Table 1 rows 1–2).
 func (f *Frontend) Open(p *simtime.Proc) (verbs.Device, error) {
-	for _, o := range [...]*op{opGetDevList, opOpenDev} {
-		if r := f.call(p, command{op: o}); r.err != nil {
-			return nil, r.err
-		}
+	if r := f.call(p, command{op: opGetDevList}); r.err != nil {
+		return nil, r.err
+	}
+	if r := f.call(p, command{op: opOpenDev}); r.err != nil {
+		return nil, r.err
 	}
 	return &fdevice{f: f}, nil
 }
@@ -162,7 +163,9 @@ func (q fqp) PostSend(p *simtime.Proc, wr verbs.SendWR) error {
 }
 
 // PostRecv is pure data path.
-func (q fqp) PostRecv(p *simtime.Proc, wr verbs.RecvWR) error { return q.qp.PostRecv(p, wr) }
+func (q fqp) PostRecv(p *simtime.Proc, wr verbs.RecvWR) error {
+	return q.qp.PostRecv(p, wr)
+}
 
 // Callback-style posting (verbs.AsyncQP) covers the zero-copy data path
 // only; a UD WR that names a virtual destination must go through the
@@ -221,13 +224,17 @@ func (d *fdevice) CreateSRQ(p *simtime.Proc, maxWR int) (verbs.SRQ, error) {
 // Async events (verbs.AsyncDevice): the backend injects device events into
 // the session's event queue after the interrupt latency; reading them is a
 // local dequeue, like ibv_get_async_event on the mapped event channel.
-func (d *fdevice) GetAsyncEvent(p *simtime.Proc) verbs.AsyncEvent { return d.f.sess.events.Get(p) }
+func (d *fdevice) GetAsyncEvent(p *simtime.Proc) verbs.AsyncEvent {
+	return d.f.sess.events.Get(p)
+}
 
 func (d *fdevice) GetAsyncEventTimeout(p *simtime.Proc, t simtime.Duration) (verbs.AsyncEvent, bool) {
 	return d.f.sess.events.GetTimeout(p, t)
 }
 
-func (d *fdevice) TryAsyncEvent() (verbs.AsyncEvent, bool) { return d.f.sess.events.TryGet() }
+func (d *fdevice) TryAsyncEvent() (verbs.AsyncEvent, bool) {
+	return d.f.sess.events.TryGet()
+}
 
 // QueryGID is answered locally by vBond (pure software, not forwarded);
 // the host-verb cost still applies in the guest library.
@@ -240,4 +247,6 @@ func (d *fdevice) QueryGID(p *simtime.Proc) (packet.GID, error) {
 	return g, nil
 }
 
-func (d *fdevice) Close(p *simtime.Proc) error { return d.f.call(p, command{op: opCloseDev}).err }
+func (d *fdevice) Close(p *simtime.Proc) error {
+	return d.f.call(p, command{op: opCloseDev}).err
+}

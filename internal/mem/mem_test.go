@@ -201,6 +201,24 @@ func TestPinUnmappedFails(t *testing.T) {
 	}
 }
 
+// TestPinEmptyRangeFails: a zero or negative length names no pages. At
+// address 0 the page loop's end used to wrap to the top of the address
+// space and walk unmapped pages.
+func TestPinEmptyRangeFails(t *testing.T) {
+	_, host := newHostSpace(t)
+	va, _ := host.Alloc(PageSize)
+	for _, at := range []uint64{0, va} {
+		for _, size := range []int{0, -PageSize} {
+			if _, err := host.Pin(at, size); !errors.Is(err, ErrBadAddress) {
+				t.Errorf("Pin(%#x, %d) err = %v", at, size, err)
+			}
+			if err := host.Unpin(at, size); !errors.Is(err, ErrBadAddress) {
+				t.Errorf("Unpin(%#x, %d) err = %v", at, size, err)
+			}
+		}
+	}
+}
+
 func TestMapRejectsUnaligned(t *testing.T) {
 	_, host := newHostSpace(t)
 	if err := host.Map(0x1001, 0x2000, 1); err == nil {

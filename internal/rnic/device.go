@@ -47,7 +47,6 @@ type Device struct {
 	mrs  map[uint32]*MR
 	cqs  map[uint32]*CQ
 	pds  map[uint32]*PD
-	srqs map[uint32]*SRQ
 
 	nextQPN, nextKey, nextCQ, nextPD uint32
 
@@ -96,6 +95,8 @@ type Device struct {
 	// overlay vswitch) are simply never released and fall back to the
 	// garbage collector.
 	pktPool packet.Pool
+
+	srqs map[uint32]*SRQ // live SRQs, for HasSRQ
 }
 
 // RxDecode decodes an arriving frame from the device's arena pool, taking

@@ -111,3 +111,29 @@ func TestRTTHelper(t *testing.T) {
 		t.Fatalf("RTT = %v", DefaultParams().RTT())
 	}
 }
+
+// TestRoundTripZeroAlloc: once the ring's call record and the queues'
+// waiter records exist, a round trip allocates nothing.
+func TestRoundTripZeroAlloc(t *testing.T) {
+	eng := simtime.NewEngine()
+	defer eng.Close()
+	ring := NewRing[int, int](eng, DefaultParams())
+	ring.Serve("backend", func(p *simtime.Proc, cmd *int) int { return *cmd + 1 })
+	go1 := simtime.NewQueue[int](eng)
+	sum := 0
+	eng.Spawn("guest", func(p *simtime.Proc) {
+		for {
+			sum += ring.Call(p, go1.Get(p))
+		}
+	})
+	allocs := testing.AllocsPerRun(100, func() {
+		go1.Put(1)
+		eng.Run()
+	})
+	if allocs != 0 {
+		t.Fatalf("warmed-up round trip: %v allocs, want 0", allocs)
+	}
+	if sum != 2*101 {
+		t.Fatalf("sum of responses = %d, want %d", sum, 2*101)
+	}
+}
