@@ -119,15 +119,15 @@ func TestRoundTripZeroAlloc(t *testing.T) {
 	defer eng.Close()
 	ring := NewRing[int, int](eng, DefaultParams())
 	ring.Serve("backend", func(p *simtime.Proc, cmd *int) int { return *cmd + 1 })
-	go1 := simtime.NewQueue[int](eng)
+	next := simtime.NewQueue[int](eng)
 	sum := 0
 	eng.Spawn("guest", func(p *simtime.Proc) {
 		for {
-			sum += ring.Call(p, go1.Get(p))
+			sum += ring.Call(p, next.Get(p))
 		}
 	})
 	allocs := testing.AllocsPerRun(100, func() {
-		go1.Put(1)
+		next.Put(1)
 		eng.Run()
 	})
 	if allocs != 0 {
